@@ -35,23 +35,22 @@ RUN_SECONDS = 30
 DEFAULT_SEED = 0
 #: The workloads BENCHMARK.json names.  cold-plan runs by name but is not
 #: gated: its two planning workers contend for the GIL, which amplifies
-#: host drift; five-seed runs spread by 15-23% in throughput and p50.
+#: host drift; ten-seed sets of 30 s runs spread by up to 0.16 in p50
+#: latency, and a five-seed set by 0.36 in p95.
 GATED = ("warm-large", "http-zipf")
-#: The exact I/O counts are averaged over the first WINDOW requests of
-#: the sequence, which every run completes, so they repeat exactly.
-WINDOW = 100
 
 #: (name, unit, better, bound).  The wall-clock bounds are wide because
 #: the 2-core host they were set on drifts: a fixed Python loop ranged
-#: over 2x within one minute.  A pass added to a family that carries a
-#: fifth of the requests moves the I/O count by over 10%.
+#: over 2x within one minute.  The I/O count is exact and repeats for
+#: every seed, so any increase is a regression: one pass added to the
+#: rarest http-zipf key moves it by over 0.5%.
 END_TO_END = [
     ("throughput_rps", "1/s", "higher", 0.25),
     ("latency_p50_ms", "ms", "lower", 0.25),
     ("latency_p95_ms", "ms", "lower", 0.25),
     ("setup_s", "s", "lower", 0.25),
     ("peak_rss_mb", "MB", "lower", 0.1),
-    ("parallel_ios_per_request", "count", "lower", 0.1),
+    ("parallel_ios_per_request", "count", "lower", 0.001),
 ]
 
 #: (name, unit, better, layer, the end-to-end metric it should move)
@@ -215,11 +214,30 @@ def scatter_floor_ms(geometry, seed, reps=31) -> float:
     return statistics.median(times[3:]) * 1e3
 
 
-def window(records):
-    return sorted(records, key=lambda r: r.index)[:WINDOW]
+def exact_io(key_counts, records, reference, geometry) -> tuple[float, float]:
+    """Mean parallel I/Os and passes per request over one cycle of the
+    workload's sequence (``Workload.key_counts``), each key weighted by
+    its count in the cycle and counted from its sequential reference, so
+    the means do not depend on which requests a run completed.  A
+    sequence that never repeats a key averages over the run's successful
+    requests."""
+    from workloads import execution_key
+
+    if key_counts is None:
+        rows = [(r.outcome.parallel_ios, r.outcome.passes, 1)
+                for r in records if r.outcome.ok]
+    else:
+        rows = [
+            (report.io.parallel_ios, report.passes, n)
+            for request, n in key_counts
+            for report in [reference[execution_key(request, geometry)].report]
+        ]
+    total = sum(n for *_, n in rows)
+    return (sum(ios * n for ios, _, n in rows) / total,
+            sum(passes * n for _, passes, n in rows) / total)
 
 
-def end_to_end(phase: Phase) -> tuple[dict, dict]:
+def end_to_end(phase: Phase, ios_per_request: float) -> tuple[dict, dict]:
     import numpy as np
 
     rtts = [r.rtt for r in phase.records]
@@ -230,9 +248,7 @@ def end_to_end(phase: Phase) -> tuple[dict, dict]:
         "latency_p95_ms": float(np.percentile(rtts, tail)) * 1e3,
         "setup_s": statistics.median(phase.setups),
         "peak_rss_mb": phase.peak_rss_mb,
-        "parallel_ios_per_request": _mean(
-            r.outcome.parallel_ios for r in window(phase.records)
-        ),
+        "parallel_ios_per_request": ios_per_request,
     }
     detail = {
         "latency_samples": len(rtts),
@@ -243,7 +259,7 @@ def end_to_end(phase: Phase) -> tuple[dict, dict]:
     return metrics, detail
 
 
-def per_layer(traced: Phase, untraced: Phase, records, floor_ms) -> dict:
+def per_layer(traced: Phase, untraced: Phase, passes: float, floor_ms) -> dict:
     import layers
 
     rows = [
@@ -306,7 +322,7 @@ def per_layer(traced: Phase, untraced: Phase, records, floor_ms) -> dict:
         "digest_ms": per_request("digest"),
         "runner.residual_ms": per_request("runner_residual"),
         "planner.residual_ms": per_request("planner_residual"),
-        "io.passes": _mean(r.outcome.passes for r in window(records)),
+        "io.passes": passes,
         "trace.attributed_share": (
             sum(row["attributed"] for row in all_rows)
             / sum(row["rtt"] for row in all_rows)
@@ -346,11 +362,6 @@ def parse_args(argv):
     parser.add_argument(
         "--toy", action="store_true",
         help="small geometries and one set-up (the smoke test's scale)",
-    )
-    parser.add_argument(
-        "--spans", metavar="FILE",
-        help="with --trace 1: write each traced request's layer times "
-        "as JSON lines",
     )
     parser.add_argument(
         "--manifest", action="store_true",
@@ -397,21 +408,11 @@ def main(argv=None) -> int:
         finally:
             layers.uninstall()
         phases = [untraced, traced]
-        records = untraced.records + traced.records
-        floor_ms = scatter_floor_ms(geometry, args.seed)
-        metrics = per_layer(traced, untraced, records, floor_ms)
-        units = {n: u for n, u, *_ in PER_LAYER}
-        moves = {n: (layer, target) for n, _, _, layer, target in PER_LAYER}
     else:
         setup_reps = 1 if args.toy else workload.setup_reps
-        phase = Phase(workload, geometry, args.seed, sequence, args.seconds,
-                      traced=False, setup_reps=setup_reps)
-        phases = [phase]
-        records = phase.records
-        metrics, tail = end_to_end(phase)
-        detail.update(tail)
-        units = {n: u for n, u, *_ in END_TO_END}
-        moves = {}
+        phases = [Phase(workload, geometry, args.seed, sequence, args.seconds,
+                        traced=False, setup_reps=setup_reps)]
+    records = [r for phase in phases for r in phase.records]
 
     # Every violation is one failure: a bad answer, a broken counter
     # invariant, or a set-up request that did not come back verified.
@@ -425,20 +426,24 @@ def main(argv=None) -> int:
         f"setup request: {o.error or 'verified=False'}"
         for phase in phases for o in phase.warmup if not (o.ok and o.verified)
     ]
-    bad = workloads.record_problems(records, geometry)
+    key_counts = workload.key_counts(args.seed)
+    bad, reference = workloads.record_problems(records, geometry, key_counts)
     problems += [f"request {i}: {p}" for i, p in sorted(bad.items())]
+    ios, passes = exact_io(key_counts, records, reference, geometry)
     detail["requests"] = len(records)
-    detail["io_count_window"] = len(window(records))
+    detail["io_keys"] = len(key_counts) if key_counts else len(reference)
     detail["problems"] = problems[:20]
 
-    if args.spans and args.trace:
-        with open(args.spans, "w") as handle:
-            for r in traced.records:
-                row = layers.breakdown(r.outcome.timings, r.outcome.elapsed,
-                                       r.rtt, r.outcome.coalesced)
-                handle.write(json.dumps({"index": r.index,
-                                         "request": r.request.describe(),
-                                         "seconds": row}) + "\n")
+    if args.trace:
+        floor_ms = scatter_floor_ms(geometry, args.seed)
+        metrics = per_layer(traced, untraced, passes, floor_ms)
+        units = {n: u for n, u, *_ in PER_LAYER}
+        moves = {n: (layer, target) for n, _, _, layer, target in PER_LAYER}
+    else:
+        metrics, tail = end_to_end(phases[0], ios)
+        detail.update(tail)
+        units = {n: u for n, u, *_ in END_TO_END}
+        moves = {}
 
     for name, value in metrics.items():
         layer, target = moves.get(name, ("", ""))

@@ -90,6 +90,12 @@ class Workload:
         """The endless, deterministic request sequence of the timed phase."""
         raise NotImplementedError
 
+    def key_counts(self, seed: int):
+        """The distinct requests of one cycle of the sequence, each with
+        how often it occurs in the cycle; ``None`` when the sequence never
+        repeats a key."""
+        return None
+
 
 def _request(perm, method, seed):
     return PermutationRequest(
@@ -128,12 +134,15 @@ class WarmLarge(Workload):
             for i in rng.permutation(len(self.KEYS)):
                 yield self.KEYS[i]
 
+    def key_counts(self, seed):
+        return [(request, 1) for request in self.KEYS]
+
 
 class ColdPlan(Workload):
     name = "cold-plan"
     why = (
-        "a fresh seed per request at N=2^14, so every request plans, "
-        "compiles and misses the 64-entry cache, which evicts"
+        "320 distinct keys sent in a cycle at N=2^14, so every request "
+        "plans, compiles and misses the 64-entry cache, which evicts"
     )
     lg_n, lg_m = 14, 9
     toy_lg_n, toy_lg_m = 11, 9
@@ -142,24 +151,33 @@ class ColdPlan(Workload):
         ("random-mld", "mld"), ("random-mrc", "mrc"), ("random-bmmc", "bmmc"),
         ("random-bpc", "auto"), ("permuted-gray", "auto"),
     ]
-
-    def _base(self, seed):
-        return int(np.random.default_rng(seed).integers(2**20, 2**30))
+    # The sequence cycles through POOL distinct keys.  A cycle is five
+    # times the cache and holds about 40 keys per 8-entry shard, so every
+    # request still misses.  The keys are the same for every seed, which
+    # only shuffles their order (once; each cycle repeats it): seeded
+    # keys made the I/O count and the planning work per request move
+    # with the seed.
+    POOL = 320
+    BASE = 2**20
 
     def warmup(self, seed):
         # One cold request per family, outside the timed sequence: ready
         # means every planner has answered once.
-        base = self._base(seed)
         return [
-            _request(perm, method, base - 1 - i)
+            _request(perm, method, self.BASE - 1 - i)
             for i, (perm, method) in enumerate(self.FAMILIES)
         ]
 
+    def key_counts(self, seed):
+        return [
+            (_request(*self.FAMILIES[i % len(self.FAMILIES)], self.BASE + i), 1)
+            for i in range(self.POOL)
+        ]
+
     def sequence(self, seed):
-        base = self._base(seed)
-        for i in itertools.count():
-            perm, method = self.FAMILIES[i % len(self.FAMILIES)]
-            yield _request(perm, method, base + i)
+        pool = [request for request, _ in self.key_counts(seed)]
+        order = np.random.default_rng(seed).permutation(len(pool))
+        return itertools.cycle([pool[i] for i in order])
 
 
 class HttpZipf(Workload):
@@ -175,21 +193,23 @@ class HttpZipf(Workload):
     TRACE_EVENTS = 4096
 
     DUPLICATES = 4
-    BLOCK = 25  # draws: 100 requests, the window of the exact I/O count
+    BLOCK = 25  # draws, so 100 requests
 
-    def sequence(self, seed):
-        # One trace for every seed; the seed shuffles the draws (each with
-        # its duplicates) within blocks of BLOCK.  Every block, and so
-        # every run's I/O-count window, holds the same keys.  Seeding the
-        # trace itself changed the family mix (the I/O count spread 44%
-        # across seeds) or the permutations (throughput split into two
-        # modes 10% apart).
+    def _trace(self):
         spec = WorkloadSpec(
             count=self.TRACE_EVENTS, seed=0, popularity="zipf",
             zipf_alpha=1.3, key_space=16, duplicates=self.DUPLICATES,
             verify=True, capture_portion=True, name=self.name,
         )
-        requests = generate_trace(spec).requests()
+        return generate_trace(spec).requests()
+
+    def sequence(self, seed):
+        # One trace for every seed; the seed shuffles the draws (each with
+        # its duplicates) within blocks of BLOCK, so every block, and so
+        # every run, sends the same mix of keys.  Seeding the trace itself
+        # changed the family mix (the I/O count spread 44% across seeds)
+        # or the permutations (throughput split into two modes 10% apart).
+        requests = self._trace()
         draws = [
             requests[i:i + self.DUPLICATES]
             for i in range(0, len(requests), self.DUPLICATES)
@@ -201,6 +221,13 @@ class HttpZipf(Workload):
             for i in rng.permutation(len(block)):
                 shuffled.extend(block[i])
         return itertools.cycle(shuffled)
+
+    def key_counts(self, seed):
+        counts: dict[tuple, list] = {}
+        for request in self._trace():
+            key = execution_key(request, self.geometry(False))
+            counts.setdefault(key, [request, 0])[1] += 1
+        return [tuple(pair) for pair in counts.values()]
 
 
 WORKLOADS = {w.name: w for w in (WarmLarge(), ColdPlan(), HttpZipf())}
@@ -429,11 +456,22 @@ def invariant_problems(stats: dict) -> list[str]:
     return problems
 
 
-def record_problems(records, geometry) -> dict[int, str]:
-    """Per-record failures: not ok, not verified, a digest that differs
-    between repeats of a key or from the sequential reference."""
+def record_problems(records, geometry, key_counts=None):
+    """Per-record failures: not ok, not verified, or a digest or I/O count
+    that differs from the sequential reference of its key (so repeats of
+    a key agree too).
+
+    The reference runs every key in ``key_counts`` (see
+    :meth:`Workload.key_counts`) and every key a record carries.  Returns
+    the failures by request index and the reference results by
+    :func:`execution_key`.
+    """
     problems: dict[int, str] = {}
-    by_key: dict[tuple, list[Record]] = {}
+    requests = {
+        execution_key(request, geometry): request
+        for request, _ in key_counts or ()
+    }
+    answered = []
     for record in records:
         out = record.outcome
         if not out.ok:
@@ -443,18 +481,26 @@ def record_problems(records, geometry) -> dict[int, str]:
         elif out.digest is None:
             problems[record.index] = "no digest"
         else:
-            by_key.setdefault(execution_key(record.request, geometry), []).append(
-                record
-            )
-    keys = list(by_key)
-    reference = run_sequential(geometry, [by_key[k][0].request for k in keys])
-    for key, ref in zip(keys, reference):
+            key = execution_key(record.request, geometry)
+            requests.setdefault(key, record.request)
+            answered.append((key, record))
+    reference = dict(zip(requests, run_sequential(geometry, list(requests.values()))))
+    for key, ref in reference.items():
         if not ref.ok:
             raise RuntimeError(f"reference run failed: {ref.error!r}")
-        for record in by_key[key]:
-            if record.outcome.digest != ref.digest:
-                problems[record.index] = (
-                    f"digest {record.outcome.digest[:12]} != reference "
-                    f"{ref.digest[:12]} for {record.request.describe()}"
-                )
-    return problems
+    for key, record in answered:
+        ref, out = reference[key], record.outcome
+        if out.digest != ref.digest:
+            problems[record.index] = (
+                f"digest {out.digest[:12]} != reference {ref.digest[:12]} "
+                f"for {record.request.describe()}"
+            )
+        elif (out.parallel_ios, out.passes) != (
+            ref.report.io.parallel_ios, ref.report.passes
+        ):
+            problems[record.index] = (
+                f"{out.parallel_ios} I/Os in {out.passes} passes != reference "
+                f"{ref.report.io.parallel_ios} in {ref.report.passes} for "
+                f"{record.request.describe()}"
+            )
+    return problems, reference
