@@ -33,7 +33,6 @@ import json
 import os
 import time
 
-from repro.core.runner import perform_requests
 from repro.errors import DeadlineExceeded, InjectedFault, RequestRejected
 from repro.pdm.cache import ShardedPlanCache
 from repro.pdm.geometry import DiskGeometry
@@ -42,6 +41,7 @@ from repro.serve import (
     PermutationService,
     RetryPolicy,
     mix_trace,
+    run_sequential,
 )
 
 from benchmarks.conftest import RESULTS_DIR, SEED, write_result
@@ -53,11 +53,6 @@ GEOMETRY = DiskGeometry(N=2**14, B=2**3, D=2**2, M=2**9)
 
 WORKERS = int(os.environ.get("BENCH_SERVE_WORKERS", "8"))
 MIX_COUNT = int(os.environ.get("BENCH_SERVE_MIX", "48"))
-
-#: Kernel backend every service worker executes with ("numpy" or
-#: "parallel"); recorded in BENCH_serve.json, no floor of its own --
-#: the backend bench owns that assertion.
-BACKEND = os.environ.get("BENCH_SERVE_BACKEND") or None
 
 #: Warm-cache 8-worker throughput must beat the sequential runner by
 #: at least this factor (the acceptance floor; keep >= 3).
@@ -118,15 +113,13 @@ def test_serve_warm_cache_throughput(benchmark):
 
     # -- sequential runner: one request at a time, no cache, cold plans
     t0 = time.perf_counter()
-    sequential = perform_requests(GEOMETRY, requests, workers=1)
+    sequential = run_sequential(GEOMETRY, requests)
     seq_elapsed = time.perf_counter() - t0
     assert all(r.ok for r in sequential)
 
     # -- the service: 8 workers, one shared sharded cache
     cache = ShardedPlanCache(maxsize=64, num_shards=8)
-    with PermutationService(
-        GEOMETRY, workers=WORKERS, cache=cache, backend=BACKEND
-    ) as service:
+    with PermutationService(GEOMETRY, workers=WORKERS, cache=cache) as service:
         t0 = time.perf_counter()
         cold = service.run(requests)
         cold_elapsed = time.perf_counter() - t0
@@ -194,7 +187,6 @@ def test_serve_warm_cache_throughput(benchmark):
                 ),
                 seed=SEED,
                 workers=WORKERS,
-                backend=BACKEND or "numpy",
                 requests=len(requests),
                 sequential_s=seq_elapsed,
                 service_cold_s=cold_elapsed,

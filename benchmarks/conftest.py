@@ -1,12 +1,11 @@
 """Shared harness for the reproduction benchmarks.
 
 Every benchmark regenerates one row of the paper's evaluation (a table,
-figure, theorem, or claim -- see DESIGN.md section 4) and
+figure, theorem, or claim) and
 
 * times the real implementation via pytest-benchmark,
 * asserts the paper's bound/shape on the *measured I/O counts*, and
-* writes a human-readable result table to ``benchmarks/results/<id>.md``
-  (collected by EXPERIMENTS.md).
+* writes a human-readable result table to ``benchmarks/results/<id>.md``.
 """
 
 from __future__ import annotations

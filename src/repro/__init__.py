@@ -6,7 +6,7 @@ A faithful, executable reproduction of
     "Asymptotically Tight Bounds for Performing BMMC Permutations on
     Parallel Disk Systems", SPAA 1993 / Dartmouth PCS-TR94-223.
 
-Layering (see DESIGN.md):
+Layering (see the Layout table in README.md):
 
 * :mod:`repro.bits` -- GF(2) bit-matrix linear algebra (the substrate
   every permutation class is defined over);

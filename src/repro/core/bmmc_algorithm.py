@@ -161,7 +161,6 @@ def perform_bmmc(
     optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
-    backend=None,
 ) -> BMMCRunResult:
     """Perform a BMMC permutation on the simulator (Theorem 21's algorithm).
 
@@ -192,7 +191,7 @@ def perform_bmmc(
 
         compiled, _, _ = cached_execute(
             system, cache, key, build, engine=engine, optimize=optimize,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         return BMMCRunResult(
             steps=compiled.meta["steps"],
@@ -204,7 +203,7 @@ def perform_bmmc(
     io_plan, final = plan_bmmc_io(system.geometry, plan, source_portion, target_portion)
     execute_plan(
         system, io_plan, engine=engine, optimize=optimize,
-        stream_records=stream_records, backend=backend,
+        stream_records=stream_records,
     )
     return BMMCRunResult(
         steps=plan,

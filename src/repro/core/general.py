@@ -12,7 +12,7 @@ with fan-in ``K = M/(BD) - 2`` (each open run holds one stripe buffer,
 plus head-room for the output stripe).  That is the
 ``Theta((N/BD) lg(N/B) / lg(M/B))`` sorting shape of the Vitter-Shriver
 general-permutation bound whenever ``BD << M``; their truly optimal
-algorithm needs randomized placement (see DESIGN.md substitution note).
+algorithm needs randomized placement (see :mod:`repro.core.distribution`).
 
 I/O fidelity: the plan contains exactly the reads and writes a
 buffer-driven K-way merge issues -- a run's next stripe is fetched when
@@ -218,7 +218,6 @@ def perform_general_sort(
     engine: str = "strict",
     optimize: bool = False,
     stream_records=None,
-    backend=None,
 ) -> GeneralSortResult:
     """Permute by external merge sort on target addresses.
 
@@ -240,7 +239,7 @@ def perform_general_sort(
     before = system.stats.parallel_ios
     execute_plan(
         system, plan.io_plan, engine=engine, optimize=optimize,
-        stream_records=stream_records, backend=backend,
+        stream_records=stream_records,
     )
     return GeneralSortResult(
         passes=plan.passes,

@@ -99,7 +99,6 @@ def perform_mld_pass(
     optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
-    backend=None,
 ) -> None:
     """Perform an MLD permutation in one pass (striped reads, independent writes).
 
@@ -124,7 +123,6 @@ def perform_mld_pass(
                 None,
             ),
             engine=engine, optimize=optimize, stream_records=stream_records,
-            backend=backend,
         )
         return
     plan = plan_mld_pass(
@@ -137,5 +135,5 @@ def perform_mld_pass(
     )
     execute_plan(
         system, plan, engine=engine, optimize=optimize,
-        stream_records=stream_records, backend=backend,
+        stream_records=stream_records,
     )

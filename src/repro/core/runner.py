@@ -30,7 +30,6 @@ __all__ = [
     "RunReport",
     "perform_permutation",
     "perform_pipeline",
-    "perform_requests",
 ]
 
 
@@ -69,7 +68,6 @@ def perform_permutation(
     cache: PlanCache | None = None,
     seed: int = 0,
     stream_records=None,
-    backend=None,
 ) -> RunReport:
     """Run ``perm`` on ``system`` and report.
 
@@ -130,14 +128,14 @@ def perform_permutation(
         perform_mrc_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         final = target_portion
     elif chosen == "mld":
         perform_mld_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         final = target_portion
     elif chosen == "inv-mld":
@@ -146,7 +144,7 @@ def perform_permutation(
         perform_inverse_mld_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         final = target_portion
     elif chosen in ("bmmc", "bmmc-unmerged"):
@@ -159,14 +157,13 @@ def perform_permutation(
             engine=engine,
             optimize=optimize,
             cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         final = result.final_portion
     elif chosen == "general":
         result = perform_general_sort(
             system, perm, source_portion, target_portion, engine=engine,
             optimize=optimize, stream_records=stream_records,
-            backend=backend,
         )
         final = result.final_portion
     elif chosen == "distribution":
@@ -175,7 +172,7 @@ def perform_permutation(
         result = perform_distribution_sort(
             system, perm, source_portion, target_portion, seed=seed,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         final = result.final_portion
     else:
@@ -208,7 +205,6 @@ def perform_pipeline(
     engine: str = "strict",
     optimize: bool = False,
     cache: PlanCache | None = None,
-    backend=None,
 ) -> RunReport:
     """Perform a sequence of permutations as *one* composed run.
 
@@ -241,55 +237,7 @@ def perform_pipeline(
         engine=engine,
         optimize=optimize,
         cache=cache,
-        backend=backend,
     )
-
-
-def perform_requests(
-    geometry,
-    requests,
-    workers: int = 1,
-    cache=None,
-    cache_maxsize: int = 64,
-    queue_capacity: int | None = None,
-    queue_policy: str = "reject",
-    default_timeout: float | None = None,
-    retry=None,
-    breaker=None,
-    faults=None,
-):
-    """Run a batch of :class:`~repro.serve.PermutationRequest`\\ s.
-
-    ``workers <= 1`` is the sequential reference semantics: one fresh
-    system per request, executed in submission order through
-    :func:`perform_permutation` -- exactly what the concurrency suites
-    compare the service against.  ``workers > 1`` delegates to
-    :class:`~repro.serve.PermutationService` with a shared
-    :class:`~repro.pdm.cache.ShardedPlanCache` (or the ``cache`` you
-    pass); the robustness knobs (``queue_capacity``/``queue_policy``,
-    ``default_timeout``, ``retry``, ``breaker``, ``faults``) pass
-    through to the service and are ignored on the sequential path,
-    which by construction has no queue to bound.  Returns
-    :class:`~repro.serve.ServiceResult` objects in request order
-    either way.
-    """
-    from repro import serve
-
-    if workers > 1:
-        with serve.PermutationService(
-            geometry,
-            workers=workers,
-            cache=cache,
-            cache_maxsize=cache_maxsize,
-            queue_capacity=queue_capacity,
-            queue_policy=queue_policy,
-            default_timeout=default_timeout,
-            retry=retry,
-            breaker=breaker,
-            faults=faults,
-        ) as service:
-            return service.run(requests)
-    return serve.run_sequential(geometry, requests, cache=cache)
 
 
 def _as_bmmc(perm: Permutation, classes: set[PermClass]) -> BMMCPermutation | None:

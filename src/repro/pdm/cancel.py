@@ -2,25 +2,24 @@
 
 The execution stack is synchronous numpy work: once a pass's fused
 gather/scatter starts there is nothing to interrupt, but *between*
-passes, between streamed segments, between backend shard dispatches,
-and while waiting on a cache latch there are natural boundaries where a
-worker can notice that its request no longer matters -- the deadline
-expired, the client went away, the service is shutting down.  This
-module is that seam.
+passes, between streamed segments, and while waiting on a cache latch
+there are natural boundaries where a worker can notice that its
+request no longer matters -- the deadline expired, the client went
+away, the service is shutting down.  This module is that seam.
 
 A :class:`CancellationToken` carries an optional monotonic deadline and
 a manual cancel flag.  :func:`run_scope` installs a token (plus an
 optional fault-injection session, see :mod:`repro.serve.faults`) in a
 thread-local scope for the duration of one request attempt, and
-:func:`checkpoint` -- called by the engines, the optimizer, the
-parallel backend, and the plan cache at their boundaries -- raises
+:func:`checkpoint` -- called by the engines, the optimizer, and the
+plan cache at their boundaries -- raises
 :class:`~repro.errors.RequestCancelled` /
 :class:`~repro.errors.DeadlineExceeded` when the token says to stop,
 then gives the fault session a chance to fire.
 
 The ambient-scope design is deliberate: threading a ``token=`` argument
-through every planner wrapper, engine, backend, and cache signature
-would couple the whole stack to the service layer.  Instead the scope
+through every planner wrapper, engine, and cache signature would
+couple the whole stack to the service layer.  Instead the scope
 travels with the worker thread, the checkpoints are free when no scope
 is installed (one thread-local read), and code that never heard of
 deadlines participates automatically.
@@ -164,12 +163,12 @@ def current_trace():
 def checkpoint(point: str, label: str = "") -> None:
     """A cooperative boundary: honor cancellation, then fire faults.
 
-    Called by the executors at pass boundaries, by streaming and the
-    parallel backend at shard boundaries, by the optimizer between
-    batched groups, and by the plan cache around compiles and latch
-    waits.  Free (one thread-local read) when no scope is installed;
-    the check runs *before* fault injection so a cancelled request
-    never burns time on injected sleeps.
+    Called by the executors at pass boundaries and between streamed
+    segments (the ``shard`` point), by the optimizer between fused
+    groups, and by the plan cache around compiles and latch waits.
+    Free (one thread-local read) when no scope is installed; the check
+    runs *before* fault injection so a cancelled request never burns
+    time on injected sleeps.
     """
     scope = getattr(_local, "scope", None)
     if scope is None:

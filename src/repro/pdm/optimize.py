@@ -43,7 +43,6 @@ link) guarantees no pre-existing payload is lost by the skip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -52,21 +51,16 @@ from repro.pdm.cancel import checkpoint
 from repro.pdm.engine import (
     ENGINES,
     ExecReport,
-    ExecutionBackend,
     _check_memory,
     _check_pass,
     _execute_fast,
     _execute_strict,
     _finish_pass,
     _fuse_pass,
-    _independent_batches,
-    _pass_footprint,
     _portion_groups,
     _require_write_targets_empty,
-    _run_fused_data,
     _run_fused_pass,
     _stream_budget,
-    get_backend,
 )
 from repro.pdm.schedule import IOPlan
 from repro.pdm.system import ParallelDiskSystem
@@ -84,16 +78,12 @@ class OptimizeReport:
     fused_links: int                # eliminated write->read round trips
     eliminated_write_records: int   # records whose scatter was dead
     coalesced_steps: int            # steps folded into wider segments
-    partial_groups: int = 0         # pass pairs fused on an address subset
-    partial_link_records: int = 0   # records piped through partial links
 
     def summary(self) -> str:
         return (
             f"{self.passes} passes -> {self.physical_passes} physical "
             f"({self.fused_groups} fused groups, {self.fused_links} links "
-            f"eliminated, {self.partial_groups} partial pairs, "
-            f"{self.partial_link_records} records piped partially, "
-            f"{self.eliminated_write_records} dead write records, "
+            f"eliminated, {self.eliminated_write_records} dead write records, "
             f"{self.coalesced_steps} steps coalesced)"
         )
 
@@ -101,33 +91,12 @@ class OptimizeReport:
 class _Group:
     """One physical execution unit covering >= 1 original passes."""
 
-    __slots__ = ("members", "source_map", "write_keep", "partial")
+    __slots__ = ("members", "source_map", "write_keep")
 
-    def __init__(self, members, source_map=None, write_keep=None, partial=None):
+    def __init__(self, members, source_map=None, write_keep=None):
         self.members = members          # list[_FusedPass], plan order
         self.source_map = source_map    # fused chain: out <- first-stream slots
         self.write_keep = write_keep    # dead-write record mask (singletons)
-        self.partial = partial          # _PartialLink for two-pass subset fusion
-
-
-class _PartialLink:
-    """A two-pass fusion over the *subset* of addresses the passes share.
-
-    ``fa`` writes some blocks that ``fb`` immediately re-reads, but the
-    match is not the exact bijection :func:`_link_map` needs -- ``fa``
-    also writes blocks ``fb`` never touches, or ``fb`` also reads
-    blocks ``fa`` never wrote.  Fuse the overlap (pipe those records
-    straight from ``fa``'s read stream) and materialize only the
-    remainder physically.
-    """
-
-    __slots__ = ("link_slots", "b_link_idx", "a_keep", "b_phys_idx")
-
-    def __init__(self, link_slots, b_link_idx, a_keep, b_phys_idx):
-        self.link_slots = link_slots    # fa-stream slots feeding piped fb reads
-        self.b_link_idx = b_link_idx    # fb-stream positions filled by the pipe
-        self.a_keep = a_keep            # fa write records still scattered
-        self.b_phys_idx = b_phys_idx    # fb-stream positions gathered physically
 
 
 def _reads_pipeable(f, simple_io: bool) -> bool:
@@ -160,48 +129,6 @@ def _link_map(g, fa, fb, simple_io: bool) -> np.ndarray | None:
     if not np.array_equal(qa_sorted[pos], qb):
         return None
     return fa.write_source[order[pos]]
-
-
-def _partial_link(g, fa, fb, simple_io: bool) -> _PartialLink | None:
-    """Subset link between consecutive passes; ``None`` when unsound.
-
-    Requirements mirror :func:`_link_map` -- simple I/O, ``fb``'s reads
-    all consume and keep -- relaxed from *exact bijection* to *any
-    overlap*.  Qualified-address matching is block-exact: passes read
-    and write whole blocks at the same record addresses, so a shared
-    block matches on all of its records or none.
-
-    One extra soundness condition: ``fb``'s writes must not target a
-    skipped (piped) ``fa`` write block.  Strict execution would fault
-    there (writing to the non-empty block ``fa`` materialized); with
-    the block never materialized the fault would be lost, so such pairs
-    refuse partial fusion and stay physical.
-    """
-    if not fa.write_addr.size or not fb.read_addr.size:
-        return None
-    if not _reads_pipeable(fa, simple_io) or not _reads_pipeable(fb, simple_io):
-        return None
-    qa = fa.rec_write_portion * g.N + fa.write_addr
-    qb = fb.rec_read_portion * g.N + fb.read_addr
-    order = np.argsort(qa)
-    qa_sorted = qa[order]
-    pos = np.minimum(np.searchsorted(qa_sorted, qb), qa_sorted.size - 1)
-    matched = qa_sorted[pos] == qb
-    if not matched.any():
-        return None
-    if fb.write_addr.size:
-        qw = fb.rec_write_portion * g.N + fb.write_addr
-        if np.intersect1d(qb[matched], qw).size:
-            return None
-    hit = order[pos[matched]]
-    a_keep = np.ones(qa.size, dtype=bool)
-    a_keep[hit] = False
-    return _PartialLink(
-        link_slots=fa.write_source[hit],
-        b_link_idx=np.flatnonzero(matched),
-        a_keep=a_keep,
-        b_phys_idx=np.flatnonzero(~matched),
-    )
 
 
 def _dead_write_masks(g, fused, simple_io: bool):
@@ -256,9 +183,6 @@ def optimize_plan(
     plan: IOPlan,
     num_portions: int = 2,
     simple_io: bool = True,
-    fuse: bool = True,
-    eliminate_dead_writes: bool = True,
-    fuse_partial: bool = True,
 ) -> "OptimizedPlan":
     """Compile an :class:`IOPlan` into an :class:`OptimizedPlan`.
 
@@ -266,81 +190,45 @@ def optimize_plan(
     optimized artifact is valid for (consume defaults and the fusion
     soundness argument depend on them); executing it against a system
     with a different shape transparently falls back to the plain fast
-    engine.  ``fuse_partial`` enables the subset-overlap pair fusion
-    for consecutive passes full-chain fusion refuses.
+    engine.
     """
     g = plan.geometry
     fused = [_fuse_pass(g, p) for p in plan.passes]
     for f in fused:
         _check_pass(g, num_portions, simple_io, f)
 
-    masks, eliminated = (
-        _dead_write_masks(g, fused, simple_io) if eliminate_dead_writes else ({}, 0)
-    )
+    # Fusion needs simple I/O and dead-write elimination needs its
+    # absence, so no pass is ever both fused and masked.
+    masks, eliminated = _dead_write_masks(g, fused, simple_io)
 
     groups: list[_Group] = []
     links = 0
-    partial_records = 0
     i = 0
     while i < len(fused):
         members = [fused[i]]
         to_first: np.ndarray | None = None
-        if fuse and simple_io and i not in masks and _reads_pipeable(fused[i], simple_io):
+        if simple_io and _reads_pipeable(fused[i], simple_io):
             while i + len(members) < len(fused):
-                nxt_idx = i + len(members)
-                if nxt_idx in masks:
-                    break
-                link = _link_map(g, members[-1], fused[nxt_idx], simple_io)
+                link = _link_map(g, members[-1], fused[i + len(members)], simple_io)
                 if link is None:
                     break
                 to_first = link if to_first is None else to_first[link]
-                members.append(fused[nxt_idx])
+                members.append(fused[i + len(members)])
         if len(members) > 1:
             source_map = to_first[members[-1].write_source]
             groups.append(_Group(members, source_map=source_map))
             links += len(members) - 1
-            i += len(members)
-            continue
-        # Full-chain fusion refused; try fusing just the shared subset
-        # with the next pass -- unless that pass would rather head a
-        # full chain of its own (full links pipe strictly more).
-        if (
-            fuse
-            and fuse_partial
-            and simple_io
-            and i not in masks
-            and i + 1 < len(fused)
-            and (i + 1) not in masks
-        ):
-            nxt = fused[i + 1]
-            heads_full_chain = (
-                i + 2 < len(fused)
-                and (i + 2) not in masks
-                and _reads_pipeable(nxt, simple_io)
-                and _link_map(g, nxt, fused[i + 2], simple_io) is not None
-            )
-            plink = None if heads_full_chain else _partial_link(
-                g, fused[i], nxt, simple_io
-            )
-            if plink is not None:
-                groups.append(_Group([fused[i], nxt], partial=plink))
-                partial_records += int(plink.link_slots.size)
-                i += 2
-                continue
-        groups.append(_Group(members, write_keep=masks.get(i)))
-        i += 1
+        else:
+            groups.append(_Group(members, write_keep=masks.get(i)))
+        i += len(members)
 
     report = OptimizeReport(
         passes=len(fused),
         physical_passes=len(groups),
-        fused_groups=sum(
-            1 for grp in groups if len(grp.members) > 1 and grp.partial is None
-        ),
+        fused_groups=sum(1 for grp in groups if len(grp.members) > 1),
         fused_links=links,
         eliminated_write_records=eliminated,
         coalesced_steps=sum(_coalesced_steps(f, simple_io) for f in fused),
-        partial_groups=sum(1 for grp in groups if grp.partial is not None),
-        partial_link_records=partial_records,
     )
     return OptimizedPlan(plan, fused, groups, report, num_portions, simple_io)
 
@@ -410,44 +298,12 @@ class OptimizedPlan:
                         f"pass {grp.members[0].label!r}: dead-write mask shape "
                         "mismatch"
                     )
-            if grp.partial is not None:
-                fa, fb = grp.members
-                pl = grp.partial
-                if pl.b_link_idx.size != pl.link_slots.size:
-                    raise PlanError(
-                        f"partial pair {fa.label!r} -> {fb.label!r}: piped "
-                        "slot counts do not match"
-                    )
-                if pl.b_link_idx.size + pl.b_phys_idx.size != fb.read_addr.size:
-                    raise PlanError(
-                        f"partial pair {fa.label!r} -> {fb.label!r}: piped and "
-                        "physical reads do not cover the second pass"
-                    )
-                if pl.a_keep.shape != fa.write_addr.shape:
-                    raise PlanError(
-                        f"partial pair {fa.label!r} -> {fb.label!r}: keep mask "
-                        "shape mismatch"
-                    )
-                if int(pl.a_keep.sum()) + pl.link_slots.size != fa.write_addr.size:
-                    raise PlanError(
-                        f"partial pair {fa.label!r} -> {fb.label!r}: skipped and "
-                        "kept writes do not cover the first pass"
-                    )
-                if pl.link_slots.size and (
-                    int(pl.link_slots.min()) < 0
-                    or int(pl.link_slots.max()) >= fa.stream_records
-                ):
-                    raise PlanError(
-                        f"partial pair {fa.label!r} -> {fb.label!r}: piped slots "
-                        "escape the first pass's read stream"
-                    )
         if total_passes != len(self._fused) or total_passes != self.plan.num_passes:
             raise PlanError("optimized groups do not cover the plan's passes")
         return {
             "passes": total_passes,
             "physical_passes": len(self.groups),
             "fused_links": self.report.fused_links,
-            "partial_groups": self.report.partial_groups,
             "stats_identical_by_construction": True,
         }
 
@@ -458,11 +314,9 @@ class OptimizedPlan:
         engine: str = "fast",
         stream_records=None,
         capture: bool = False,
-        backend=None,
     ) -> ExecReport:
         if engine not in ENGINES:
             raise ValidationError(f"unknown engine {engine!r}; choose from {ENGINES}")
-        get_backend(backend)  # validate the knob even on fallback paths
         if self.plan.geometry != system.geometry:
             raise ValidationError("plan and system geometries differ")
         if engine == "strict" or system._observers:
@@ -473,61 +327,17 @@ class OptimizedPlan:
                 report.fell_back = "observers"
             return report
         if capture:
-            return _execute_fast(system, self.plan, capture=True, backend=backend)
+            return _execute_fast(system, self.plan, capture=True)
         if (
             system.num_portions != self.num_portions
             or system.simple_io != self.simple_io
         ):
-            report = _execute_fast(
-                system, self.plan, stream_records=stream_records, backend=backend
-            )
+            report = _execute_fast(system, self.plan, stream_records=stream_records)
             report.fell_back = "system-shape-mismatch"
             return report
-        return self._execute_optimized(system, stream_records, backend)
+        return self._execute_optimized(system, stream_records)
 
-    def _group_footprint(self, g, grp) -> np.ndarray:
-        """Union of member pass footprints (portion-qualified block keys)."""
-        parts = [_pass_footprint(g, f) for f in grp.members]
-        parts = [p for p in parts if p.size]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
-
-    def _run_unit_data(self, system, grp, budget, kernels) -> tuple[int, int]:
-        """One group's data movement, no stats; returns (host peak
-        records, streamed-pass count)."""
-        if grp.partial is not None:
-            fa, fb = grp.members
-            if budget is None or fa.stream_records + fb.stream_records <= budget:
-                return self._run_partial_group(system, grp, kernels), 0
-            # The pair would buffer both read streams at once; when that
-            # busts the stream budget, the budget wins: run unfused.
-            peak = streamed = 0
-            for f in grp.members:
-                p, num_segments = _run_fused_data(system, f, budget, kernels=kernels)
-                peak = max(peak, p)
-                streamed += 1 if num_segments > 1 else 0
-            return peak, streamed
-        if grp.source_map is not None:
-            first = grp.members[0]
-            if budget is None or first.stream_records <= budget:
-                return self._run_group(system, grp, kernels), 0
-            # The fused chain would buffer one whole read stream;
-            # when that busts the stream budget, the budget wins:
-            # run the members unfused through the streaming path.
-            peak = streamed = 0
-            for f in grp.members:
-                p, num_segments = _run_fused_data(system, f, budget, kernels=kernels)
-                peak = max(peak, p)
-                streamed += 1 if num_segments > 1 else 0
-            return peak, streamed
-        f = grp.members[0]
-        peak, num_segments = _run_fused_data(
-            system, f, budget, kernels=kernels, write_keep=grp.write_keep
-        )
-        return peak, 1 if num_segments > 1 else 0
-
-    def _execute_optimized(self, system, stream_records, backend=None) -> ExecReport:
+    def _execute_optimized(self, system, stream_records) -> ExecReport:
         g = system.geometry
         for f in self._fused:
             _check_pass(g, system.num_portions, system.simple_io, f)
@@ -538,51 +348,30 @@ class OptimizedPlan:
         # memory list alongside them (it is never stored on the shared
         # fused metadata -- concurrent executions each get their own).
         mem_of = dict(zip(map(id, self._fused), mems))
-        kernels = get_backend(backend)
         budget = _stream_budget(stream_records)
-        report = ExecReport(engine="fast", backend=kernels.name, optimized=True)
-
-        def _finish(grp):
-            for f in grp.members:
-                _finish_pass(system, f, mem_of[id(f)])
-
-        # Cross-pass scheduling over physical groups, mirroring the
-        # unoptimized fast path: consecutive groups with disjoint block
-        # footprints run concurrently; stats still land in plan order.
-        groups = self.groups
-        if kernels.parallel_units > 1 and len(groups) > 1:
-            batches = _independent_batches(
-                [self._group_footprint(g, grp) for grp in groups]
-            )
-        else:
-            batches = [(i, i + 1) for i in range(len(groups))]
-        serial = kernels.serial()
-        for i, j in batches:
-            checkpoint("pass", groups[i].members[0].label)
-            if j - i == 1:
-                peak, streamed = self._run_unit_data(
-                    system, groups[i], budget, kernels
-                )
+        report = ExecReport(engine="fast", optimized=True)
+        for grp in self.groups:
+            first = grp.members[0]
+            checkpoint("pass", first.label)
+            if grp.source_map is not None and (
+                budget is None or first.stream_records <= budget
+            ):
+                peak = self._run_group(system, grp)
                 report.host_peak_records = max(report.host_peak_records, peak)
-                report.streamed_passes += streamed
-                _finish(groups[i])
+                for f in grp.members:
+                    _finish_pass(system, f, mem_of[id(f)])
                 continue
-            results: list[tuple[int, int] | None] = [None] * (j - i)
-
-            def _unit(k: int) -> None:
-                results[k - i] = self._run_unit_data(
-                    system, groups[k], budget, serial
+            # A singleton, or a fused chain whose one whole read stream
+            # would bust the stream budget (the budget wins): run the
+            # members unfused through the streaming path.
+            for f in grp.members:
+                _run_fused_pass(
+                    system, f, budget, report, mem_of[id(f)],
+                    write_keep=grp.write_keep,
                 )
-
-            kernels.run_units([partial(_unit, k) for k in range(i, j)])
-            for k in range(i, j):
-                peak, streamed = results[k - i]
-                report.host_peak_records = max(report.host_peak_records, peak)
-                report.streamed_passes += streamed
-                _finish(groups[k])
         return report
 
-    def _run_group(self, system, grp, kernels: ExecutionBackend) -> int:
+    def _run_group(self, system, grp) -> int:
         """One fused chain: gather first reads, apply the composed slot
         permutation, scatter last writes; enforce every simple-I/O check
         the skipped link operations would have performed."""
@@ -593,7 +382,7 @@ class OptimizedPlan:
         stream = np.empty(first.stream_records, dtype=system.dtype)
         for portion, idx in _portion_groups(first.read_portions, first.rec_read_portion):
             if isinstance(idx, slice):
-                kernels.gather(stream, data[portion], first.read_addr)
+                np.take(data[portion], first.read_addr, out=stream)
             else:
                 stream[idx] = data[portion, first.read_addr[idx]]
         empty = system._is_empty(stream)
@@ -604,109 +393,24 @@ class OptimizedPlan:
             )
         for portion, idx in _portion_groups(first.read_portions, first.rec_read_portion):
             if isinstance(idx, slice):
-                kernels.fill(data[portion], first.read_addr, system.empty)
+                data[portion][first.read_addr] = system.empty
             else:
                 data[portion, first.read_addr[idx]] = system.empty
 
         # Skipped links: their write targets must have been empty (the
         # write-to-empty rule); after the consume above, portion state
         # matches what strict execution would show at each link's time.
-        for fa in grp.members[:-1]:
+        for f in grp.members:
             _require_write_targets_empty(
-                system, fa.write_portions, fa.rec_write_portion, fa.write_addr,
-                kernels=kernels,
+                system, f.write_portions, f.rec_write_portion, f.write_addr
             )
-
-        _require_write_targets_empty(
-            system, last.write_portions, last.rec_write_portion, last.write_addr,
-            kernels=kernels,
-        )
-        out = kernels.take(stream, grp.source_map)
+        out = stream[grp.source_map]
         for portion, idx in _portion_groups(last.write_portions, last.rec_write_portion):
             if isinstance(idx, slice):
-                kernels.scatter(data[portion], last.write_addr, out)
+                data[portion][last.write_addr] = out
             else:
                 data[portion, last.write_addr[idx]] = out[idx]
         return stream.size
-
-    def _run_partial_group(self, system, grp, kernels: ExecutionBackend) -> int:
-        """One partial pair: run ``fa`` whole (skipping the piped
-        writes), then realize ``fb``'s stream from the pipe plus a
-        physical gather of the remainder.
-
-        Check order preserves strict fault semantics: ``fa``'s *entire*
-        write set must target empty blocks (piped targets included --
-        they stay physically empty, exactly as a consumed link leaves
-        them), and ``fb``'s physical reads run through the same
-        empty-and-consume discipline as any other read.  ``fb`` writing
-        a piped block is refused at compile time (see
-        :func:`_partial_link`), so no fault can hide behind the skip.
-        """
-        g = system.geometry
-        data = system._data
-        fa, fb = grp.members
-        pl = grp.partial
-
-        stream_a = np.empty(fa.stream_records, dtype=system.dtype)
-        for portion, idx in _portion_groups(fa.read_portions, fa.rec_read_portion):
-            if isinstance(idx, slice):
-                kernels.gather(stream_a, data[portion], fa.read_addr)
-            else:
-                stream_a[idx] = data[portion, fa.read_addr[idx]]
-        empty = system._is_empty(stream_a)
-        if empty.any():
-            bad = np.unique(np.repeat(fa.read_ids, g.B)[empty])
-            raise BlockStateError(
-                f"reading empty/partial blocks {list(bad)} under simple I/O"
-            )
-        for portion, idx in _portion_groups(fa.read_portions, fa.rec_read_portion):
-            if isinstance(idx, slice):
-                kernels.fill(data[portion], fa.read_addr, system.empty)
-            else:
-                data[portion, fa.read_addr[idx]] = system.empty
-
-        _require_write_targets_empty(
-            system, fa.write_portions, fa.rec_write_portion, fa.write_addr,
-            kernels=kernels,
-        )
-        out_a = kernels.take(stream_a, fa.write_source)
-        for portion, idx in _portion_groups(fa.write_portions, fa.rec_write_portion):
-            mask = pl.a_keep if isinstance(idx, slice) else (idx & pl.a_keep)
-            data[portion, fa.write_addr[mask]] = out_a[mask]
-
-        stream_b = np.empty(fb.stream_records, dtype=system.dtype)
-        stream_b[pl.b_link_idx] = stream_a[pl.link_slots]
-        if pl.b_phys_idx.size:
-            phys_addr = fb.read_addr[pl.b_phys_idx]
-            phys_port = fb.rec_read_portion[pl.b_phys_idx]
-            for portion, idx in _portion_groups(phys_port, phys_port):
-                if isinstance(idx, slice):
-                    values = kernels.take(data[portion], phys_addr)
-                else:
-                    values = data[portion, phys_addr[idx]]
-                empty = system._is_empty(values)
-                if empty.any():
-                    bad = np.unique(phys_addr[idx][empty] >> g.b)
-                    raise BlockStateError(
-                        f"reading empty/partial blocks {list(bad)} under simple I/O"
-                    )
-                stream_b[pl.b_phys_idx[idx]] = values
-                if isinstance(idx, slice):
-                    kernels.fill(data[portion], phys_addr, system.empty)
-                else:
-                    data[portion, phys_addr[idx]] = system.empty
-
-        _require_write_targets_empty(
-            system, fb.write_portions, fb.rec_write_portion, fb.write_addr,
-            kernels=kernels,
-        )
-        out_b = kernels.take(stream_b, fb.write_source)
-        for portion, idx in _portion_groups(fb.write_portions, fb.rec_write_portion):
-            if isinstance(idx, slice):
-                kernels.scatter(data[portion], fb.write_addr, out_b)
-            else:
-                data[portion, fb.write_addr[idx]] = out_b[idx]
-        return stream_a.size + stream_b.size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OptimizedPlan({self.report.summary()})"

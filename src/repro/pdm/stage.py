@@ -196,7 +196,6 @@ def execute_staged(
     engine: str = "strict",
     optimize: bool = False,
     stream_records=None,
-    backend=None,
 ) -> StagedReport:
     """Run a staged plan adaptively: emit, execute, observe, repeat.
 
@@ -213,7 +212,7 @@ def execute_staged(
     for plan in staged.stages(view):
         report = execute_plan(
             system, plan, engine=engine, optimize=optimize,
-            stream_records=stream_records, backend=backend,
+            stream_records=stream_records,
         )
         out.stages += 1
         out.passes += plan.num_passes

@@ -20,8 +20,8 @@ co-arrivals wait and get hits).  That is what lets CI pin
 Faults fire *through* the cooperative checkpoints
 (:func:`repro.pdm.cancel.checkpoint`), the same boundaries cancellation
 uses -- so injected failures exercise exactly the unwind paths real
-failures take, and the old test-suite idiom of monkeypatching backends
-and planners is no longer the only way to make the stack misbehave.
+failures take, and the old test-suite idiom of monkeypatching engine
+internals and planners is no longer the only way to make the stack misbehave.
 
 Injected errors are :class:`~repro.errors.InjectedFault`, a
 :class:`~repro.errors.TransientError`: the retry machinery re-attempts

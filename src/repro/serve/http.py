@@ -728,7 +728,6 @@ class HttpFrontend:
         config = {
             "geometry": {"N": g.N, "B": g.B, "D": g.D, "M": g.M},
             "workers": service.workers,
-            "backend": service.backend,
             "queue_capacity": service.queue_capacity,
             "queue_policy": service.queue_policy,
             "coalesce": getattr(service, "coalesce", False),

@@ -22,11 +22,11 @@ On top of the PR-4 execution core this adds the robustness layer:
   gets a :class:`~repro.pdm.cancel.CancellationToken` (from its
   ``timeout``/``deadline``, or the service ``default_timeout``),
   installed as the worker's ambient scope for the attempt.  The
-  engines, the optimizer, the parallel backend and the plan cache's
-  latch waits all call :func:`~repro.pdm.cancel.checkpoint`, so an
-  expired request frees its worker at the next pass/shard boundary
-  with :class:`~repro.errors.DeadlineExceeded` on its result -- it
-  never occupies the pool to completion.
+  engines, the optimizer and the plan cache's latch waits all call
+  :func:`~repro.pdm.cancel.checkpoint`, so an expired request frees its
+  worker at the next pass or streamed-segment boundary with
+  :class:`~repro.errors.DeadlineExceeded` on its result -- it never
+  occupies the pool to completion.
 
 * **Retry/backoff + circuit breaker** -- ``retry`` re-attempts
   transient failures on the same worker with the policy's seeded
@@ -203,7 +203,6 @@ class PermutationService:
         cache=None,
         cache_maxsize: int = 64,
         num_shards: int = 8,
-        backend=None,
         queue_capacity: int | None = None,
         queue_policy: str = "reject",
         default_timeout: float | None = None,
@@ -216,7 +215,6 @@ class PermutationService:
     ) -> None:
         self.geometry = geometry
         self.workers = max(1, int(workers))
-        self.backend = backend  # worker default; request.backend overrides
         if queue_policy not in QUEUE_POLICIES:
             raise ValidationError(
                 f"unknown queue policy {queue_policy!r}; "
@@ -419,7 +417,7 @@ class PermutationService:
                 system = self._worker_system(request.geometry or self.geometry)
                 with run_scope(item.token, item.faults, item.trace):
                     result.report, result.digest = _execute_request(
-                        system, request, self.cache, backend=self.backend
+                        system, request, self.cache
                     )
                 result.error = None
                 break

@@ -10,6 +10,12 @@ from repro.bits.matrix import BitMatrix
 from repro.pdm.geometry import DiskGeometry
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running property suites (deselect with -m 'not slow')"
+    )
+
+
 # --------------------------------------------------------------------------
 # geometries
 # --------------------------------------------------------------------------

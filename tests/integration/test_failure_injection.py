@@ -275,95 +275,6 @@ class TestServiceFaultInjection:
         assert (hit, hit2) == (False, True)
         assert len(successes) == 1 and compiled is not None
 
-    def test_parallel_worker_fault_fails_request_alone(self, serve_geometry):
-        """A parallel-backend worker thread dying mid-pass fails that
-        request alone: the poisoned request's shard exception is captured
-        on its result, every other request (running the healthy default
-        backend) completes verified, the worker pool keeps serving, and
-        the shared plan cache stays usable."""
-        from functools import partial
-
-        from repro.pdm.cache import ShardedPlanCache
-        from repro.pdm.engine import ParallelBackend
-        from repro.serve import PermutationRequest, synthetic_mix
-
-        class PoisonedBackend(ParallelBackend):
-            """Every pooled gather shard raises, as if a worker thread
-            crashed mid-pass.  Routes through the real ``_run`` shard
-            machinery so the propagation path under test is the
-            production one."""
-
-            def __init__(self):
-                super().__init__(workers=2, min_records=0, chunk_records=64)
-
-            def gather(self, dst, src, idx):
-                def shard_dies(lo, hi):
-                    raise RuntimeError(f"injected worker fault [{lo}:{hi})")
-
-                self._run(
-                    [partial(shard_dies, lo, hi)
-                     for lo, hi in self._ranges(max(idx.size, 2))]
-                )
-
-        cache = ShardedPlanCache(maxsize=32, num_shards=4)
-        bad = PermutationRequest(
-            perm="bit-reversal", engine="fast", backend=PoisonedBackend()
-        )
-        good = synthetic_mix(8, capture_portion=True)
-        mix = good[:4] + [bad] + good[4:]
-        with self._service(serve_geometry, cache=cache) as service:
-            results = service.run(mix)
-            failed = [r for r in results if not r.ok]
-            assert len(failed) == 1
-            assert failed[0].request is bad
-            assert isinstance(failed[0].error, RuntimeError)
-            assert "injected worker fault" in str(failed[0].error)
-            for r in results:
-                if r.ok:
-                    assert r.report.verified
-            # pool and cache survive: the identical request on a healthy
-            # parallel backend now runs cleanly off the cached plan
-            retry = PermutationRequest(
-                perm="bit-reversal", engine="fast",
-                backend=ParallelBackend(workers=2, min_records=0,
-                                        chunk_records=64),
-            )
-            (recovered,) = service.run([retry])
-        assert recovered.ok and recovered.report.verified
-        assert cache.info().size >= 1
-
-    def test_parallel_worker_fault_raises_at_engine_level(self, serve_geometry):
-        """Outside the service, the shard exception propagates to the
-        caller after all workers settle (no worker left touching the
-        arrays), and the earliest failure wins."""
-        from functools import partial
-
-        from repro.core.runner import perform_permutation
-        from repro.pdm.engine import ParallelBackend
-        from repro.pdm.system import ParallelDiskSystem
-        from repro.perms.library import bit_reversal
-
-        class PoisonedBackend(ParallelBackend):
-            def __init__(self):
-                super().__init__(workers=2, min_records=0, chunk_records=64)
-
-            def gather(self, dst, src, idx):
-                def shard_dies(lo, hi):
-                    raise RuntimeError(f"shard [{lo}:{hi}) died")
-
-                self._run(
-                    [partial(shard_dies, lo, hi)
-                     for lo, hi in self._ranges(max(idx.size, 2))]
-                )
-
-        s = ParallelDiskSystem(serve_geometry)
-        s.fill_identity(0)
-        with pytest.raises(RuntimeError, match=r"shard \[0:"):
-            perform_permutation(
-                s, bit_reversal(serve_geometry.n), engine="fast",
-                backend=PoisonedBackend(),
-            )
-
     def test_failed_request_then_identical_key_recompiles(self, serve_geometry):
         """End-to-end: poison one worker's request mid-mix; afterwards a
         fresh identical-key request misses once, compiles, then hits."""

@@ -162,30 +162,6 @@ class TestCachedAlgorithms:
             assert s.stats.snapshot() == reference.stats.snapshot()
         assert cache.info().misses == 1 and cache.info().hits == 2
 
-    def test_one_entry_serves_every_backend(self, geometry):
-        """``backend`` never reaches :func:`plan_key`: a compiled plan is
-        backend-agnostic, so numpy and parallel callers of the same
-        (geometry, matrix, method) workload share one cache entry --
-        one compile, one miss, every later call a hit."""
-        from repro.pdm.engine import ParallelBackend
-
-        g = geometry
-        rev = bit_reversal(g.n)
-        reference = fresh(g)
-        ref = perform_bmmc(reference, rev, engine="strict")
-        cache = PlanCache()
-        tiny = ParallelBackend(workers=2, min_records=0, chunk_records=64)
-        for backend in ("numpy", tiny, "numpy", tiny, None):
-            s = fresh(g)
-            perform_bmmc(s, rev, engine="fast", cache=cache, backend=backend)
-            assert (
-                s.portion_values(ref.final_portion)
-                == reference.portion_values(ref.final_portion)
-            ).all(), backend
-            assert s.stats.snapshot() == reference.stats.snapshot(), backend
-        info = cache.info()
-        assert info.misses == 1 and info.hits == 4 and info.size == 1
-
     def test_strict_engine_through_cache(self, geometry):
         """A cached plan replayed strictly still matches reference strict."""
         g = geometry

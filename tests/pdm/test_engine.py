@@ -247,219 +247,3 @@ class TestDispatch:
         execute_plan(reference, plan, engine="strict")
         assert (s.portion_values(1) == reference.portion_values(1)).all()
 
-
-class TestBackends:
-    """The kernel-backend seam: resolution, sharding heuristics, and
-    strict-identical execution under the parallel backend."""
-
-    def test_get_backend_resolution(self, monkeypatch):
-        from repro.pdm.engine import (
-            BACKENDS,
-            NumpyBackend,
-            ParallelBackend,
-            get_backend,
-        )
-
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert BACKENDS == ("numpy", "parallel")
-        default = get_backend(None)
-        assert default.name == "numpy"
-        assert get_backend("numpy") is default  # shared singleton
-        par = get_backend("parallel")
-        assert isinstance(par, ParallelBackend)
-        assert get_backend("parallel") is par  # shared singleton
-        mine = ParallelBackend(workers=2, min_records=0, chunk_records=64)
-        assert get_backend(mine) is mine  # instance passthrough
-        assert isinstance(get_backend("numpy"), NumpyBackend)
-        with pytest.raises(ValidationError):
-            get_backend("cuda")
-
-    def test_env_default_backend(self, monkeypatch):
-        from repro.pdm.engine import get_backend
-
-        monkeypatch.setenv("REPRO_BACKEND", "parallel")
-        assert get_backend(None).name == "parallel"
-        monkeypatch.setenv("REPRO_BACKEND", "hexagon")
-        with pytest.raises(ValidationError):
-            get_backend(None)
-
-    def test_env_backend_error_names_the_variable(self, monkeypatch):
-        from repro.pdm.engine import get_backend
-
-        monkeypatch.setenv("REPRO_BACKEND", "hexagon")
-        with pytest.raises(ValidationError, match="REPRO_BACKEND"):
-            get_backend(None)
-
-    @pytest.mark.parametrize(
-        "var,bad",
-        [
-            ("REPRO_PARALLEL_WORKERS", "three"),
-            ("REPRO_PARALLEL_WORKERS", "0"),
-            ("REPRO_PARALLEL_MIN_RECORDS", "-1"),
-            ("REPRO_PARALLEL_CHUNK_RECORDS", "1.5"),
-            ("REPRO_PARALLEL_CHUNK_RECORDS", "0"),
-        ],
-    )
-    def test_env_knobs_validated_with_variable_named(
-        self, monkeypatch, var, bad
-    ):
-        from repro.pdm.engine import ParallelBackend
-
-        monkeypatch.setenv(var, bad)
-        with pytest.raises(ValidationError, match=var):
-            ParallelBackend()
-
-    def test_env_knobs_accept_valid_values(self, monkeypatch):
-        from repro.pdm.engine import ParallelBackend
-
-        monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_RECORDS", "0")
-        monkeypatch.setenv("REPRO_PARALLEL_CHUNK_RECORDS", "128")
-        b = ParallelBackend()
-        assert (b.workers, b.min_records, b.chunk_records) == (3, 0, 128)
-
-    def test_crossover_heuristic(self):
-        from repro.pdm.engine import ParallelBackend
-
-        b = ParallelBackend(workers=4, min_records=1 << 10, chunk_records=1 << 8)
-        assert not b._sharded(1 << 9)   # below the crossover: inline numpy
-        assert b._sharded(1 << 12)
-        assert not ParallelBackend(workers=1)._sharded(1 << 20)  # no pool
-
-    def test_ranges_partition_exactly(self):
-        from repro.pdm.engine import ParallelBackend
-
-        b = ParallelBackend(workers=3, min_records=0, chunk_records=10)
-        for n in (1, 10, 11, 64, 97, 1000):
-            ranges = b._ranges(n)
-            assert ranges[0][0] == 0 and ranges[-1][1] == n
-            for (alo, ahi), (blo, bhi) in zip(ranges, ranges[1:]):
-                assert ahi == blo  # contiguous, disjoint
-            assert all(hi - lo >= 1 for lo, hi in ranges)
-
-    def test_sharded_kernels_match_numpy(self):
-        from repro.pdm.engine import ParallelBackend, get_backend
-
-        rng = np.random.default_rng(7)
-        src = rng.integers(0, 1 << 30, size=2048)
-        idx = rng.permutation(2048)
-        tiny = ParallelBackend(workers=2, min_records=0, chunk_records=64)
-        ref = get_backend("numpy")
-
-        out_a, out_b = np.empty(2048, dtype=src.dtype), np.empty(2048, dtype=src.dtype)
-        ref.gather(out_a, src, idx)
-        tiny.gather(out_b, src, idx)
-        assert (out_a == out_b).all()
-        assert (tiny.take(src, idx) == ref.take(src, idx)).all()
-
-        dst_a, dst_b = np.zeros(4096, dtype=src.dtype), np.zeros(4096, dtype=src.dtype)
-        ref.scatter(dst_a, idx * 2, src)
-        tiny.scatter(dst_b, idx * 2, src)
-        assert (dst_a == dst_b).all()
-        ref.fill(dst_a, idx, -1)
-        tiny.fill(dst_b, idx, -1)
-        assert (dst_a == dst_b).all()
-        # non-contiguous destination exercises the np.put fallback
-        view_a, view_b = dst_a[::2], dst_b[::2]
-        ref.scatter(view_a, idx[:1024], src[:1024])
-        tiny.scatter(view_b, idx[:1024], src[:1024])
-        assert (dst_a == dst_b).all()
-
-    def test_parallel_execution_matches_strict(self, geometry):
-        from repro.pdm.engine import ParallelBackend
-
-        g = geometry
-        plan = reverse_plan(g)
-        strict = fresh(g)
-        execute_plan(strict, plan, engine="strict")
-        par = fresh(g)
-        report = execute_plan(
-            par, plan, engine="fast",
-            backend=ParallelBackend(workers=2, min_records=0, chunk_records=64),
-        )
-        assert report.backend == "parallel"
-        assert (strict.portion_values(1) == par.portion_values(1)).all()
-        assert strict.stats.snapshot() == par.stats.snapshot()
-        assert strict.stats.passes == par.stats.passes
-        assert strict.memory.peak == par.memory.peak
-
-    def test_strict_ignores_backend(self, geometry):
-        """The strict engine replays operation by operation; the backend
-        knob is validated but never changes its behavior."""
-        g = geometry
-        a, b = fresh(g), fresh(g)
-        execute_plan(a, reverse_plan(g), engine="strict")
-        execute_plan(b, reverse_plan(g), engine="strict", backend="parallel")
-        assert (a.portion_values(1) == b.portion_values(1)).all()
-        assert a.stats.snapshot() == b.stats.snapshot()
-        with pytest.raises(ValidationError):
-            execute_plan(fresh(g), reverse_plan(g), engine="strict", backend="no")
-
-
-class TestCrossPassScheduling:
-    """Independent consecutive passes (disjoint block footprints proven
-    from ``PassColumns``) run concurrently under the parallel backend;
-    stats still report in plan order."""
-
-    def independent_plan(self, g):
-        b = PlanBuilder(g)
-        b.begin_pass("left")
-        b.write_stripe(1, 0, b.read_stripe(0, 0))
-        b.begin_pass("right")
-        b.write_stripe(1, 1, b.read_stripe(0, 1))
-        return b.build()
-
-    def dependent_plan(self, g):
-        b = PlanBuilder(g)
-        b.begin_pass("produce")
-        b.write_stripe(1, 0, b.read_stripe(0, 0))
-        b.begin_pass("consume")
-        b.write_stripe(0, 0, b.read_stripe(1, 0))
-        return b.build()
-
-    def test_disjoint_footprints_batch_together(self, geometry):
-        from repro.pdm.engine import (
-            _fuse_pass,
-            _independent_batches,
-            _pass_footprint,
-        )
-
-        g = geometry
-        plan = self.independent_plan(g)
-        feet = [_pass_footprint(g, _fuse_pass(g, p)) for p in plan.passes]
-        assert _independent_batches(feet) == [(0, 2)]
-
-    def test_overlapping_footprints_stay_sequential(self, geometry):
-        from repro.pdm.engine import (
-            _fuse_pass,
-            _independent_batches,
-            _pass_footprint,
-        )
-
-        g = geometry
-        plan = self.dependent_plan(g)
-        feet = [_pass_footprint(g, _fuse_pass(g, p)) for p in plan.passes]
-        assert _independent_batches(feet) == [(0, 1), (1, 2)]
-
-    def test_concurrent_batch_matches_strict_in_plan_order(self, geometry):
-        from repro.pdm.engine import ParallelBackend
-
-        g = geometry
-        for plan in (self.independent_plan(g), self.dependent_plan(g)):
-            strict = fresh(g)
-            execute_plan(strict, plan, engine="strict")
-            par = fresh(g)
-            execute_plan(
-                par, plan, engine="fast",
-                backend=ParallelBackend(workers=2, min_records=0,
-                                        chunk_records=64),
-            )
-            labels = [p.label for p in par.stats.passes]
-            assert labels == [p.label for p in plan.passes]  # plan order
-            for portion in range(strict.num_portions):
-                assert (
-                    strict.portion_values(portion) == par.portion_values(portion)
-                ).all()
-            assert strict.stats.snapshot() == par.stats.snapshot()
-            assert strict.stats.passes == par.stats.passes
-            assert strict.memory.peak == par.memory.peak

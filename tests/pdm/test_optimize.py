@@ -34,6 +34,22 @@ def multi_pass_plan(g):
     return plan, final
 
 
+def overlap_plan(g):
+    """Pass "a" writes stripe 0 of portion 1; pass "b" re-reads that
+    stripe *plus* stripe 1 of portion 0 (untouched by "a"), so the passes
+    overlap on half of "b"'s reads and full-chain fusion refuses them."""
+    b = PlanBuilder(g)
+    b.begin_pass("a")
+    sa = b.read_stripe(0, 0)
+    b.write_stripe(1, 0, sa[::-1])
+    b.begin_pass("b")
+    s1 = b.read_stripe(1, 0)
+    s2 = b.read_stripe(0, 1)
+    b.write_stripe(0, 0, s2)
+    b.write_stripe(1, 1, s1)
+    return b.build()
+
+
 def assert_equivalent(a: ParallelDiskSystem, b: ParallelDiskSystem):
     for portion in range(a.num_portions):
         assert (a.portion_values(portion) == b.portion_values(portion)).all()
@@ -273,96 +289,11 @@ class TestArtifact:
 
     def test_execute_plan_optimize_knob(self, geometry):
         g = geometry
-        plan, final = multi_pass_plan(g)
-        strict = fresh(g)
-        execute_plan(strict, plan, engine="strict")
-        fast = fresh(g)
-        report = execute_plan(fast, plan, engine="fast", optimize=True)
-        assert report.optimized
-        assert_equivalent(strict, fast)
+        for plan in (multi_pass_plan(g)[0], overlap_plan(g)):
+            strict = fresh(g)
+            execute_plan(strict, plan, engine="strict")
+            fast = fresh(g)
+            report = execute_plan(fast, plan, engine="fast", optimize=True)
+            assert report.optimized
+            assert_equivalent(strict, fast)
 
-
-class TestPartialFusion:
-    """Consecutive passes overlapping on a *subset* of blocks: the
-    optimizer pipes the overlap through host memory and materializes
-    the remainder, where full-chain fusion refuses outright."""
-
-    @pytest.fixture
-    def small(self) -> DiskGeometry:
-        return DiskGeometry(N=2**10, B=2**2, D=2**2, M=2**7)
-
-    def overlap_plan(self, g):
-        """Pass "a" writes stripe 0 of portion 1; pass "b" re-reads that
-        stripe *plus* stripe 1 of portion 0 (untouched by "a"), so the
-        passes overlap on exactly half of "b"'s reads."""
-        b = PlanBuilder(g)
-        b.begin_pass("a")
-        sa = b.read_stripe(0, 0)
-        b.write_stripe(1, 0, sa[::-1])
-        b.begin_pass("b")
-        s1 = b.read_stripe(1, 0)
-        s2 = b.read_stripe(0, 1)
-        b.write_stripe(0, 0, s2)
-        b.write_stripe(1, 1, s1)
-        return b.build()
-
-    def test_partial_pair_fuses_where_full_fusion_refuses(self, small):
-        g = small
-        plan = self.overlap_plan(g)
-        off = optimize_plan(plan, fuse_partial=False)
-        assert off.report.physical_passes == 2
-        assert off.report.fused_groups == 0
-        assert off.report.partial_groups == 0
-        on = optimize_plan(plan)
-        assert on.report.physical_passes == 1
-        assert on.report.partial_groups == 1
-        assert on.report.partial_link_records == g.records_per_stripe
-        assert on.report.fused_groups == 0  # partial pairs counted apart
-
-    def test_partial_fused_execution_matches_strict(self, small):
-        g = small
-        plan = self.overlap_plan(g)
-        strict = fresh(g)
-        execute_plan(strict, plan, engine="strict")
-        fast = fresh(g)
-        report = optimize_plan(plan).execute(fast)
-        assert report.optimized
-        assert_equivalent(strict, fast)
-
-    def test_partial_group_streams_under_budget(self, small):
-        """A partial pair whose combined stream busts the budget runs
-        its members unfused and chunked -- still strict-identical."""
-        g = small
-        plan = self.overlap_plan(g)
-        strict = fresh(g)
-        execute_plan(strict, plan, engine="strict")
-        fast = fresh(g)
-        # below the pair's combined 3-stripe stream, at pass "b"'s own
-        # 2-stripe floor (its writes need both reads resident)
-        budget = 2 * g.records_per_stripe
-        report = optimize_plan(plan).execute(fast, stream_records=budget)
-        assert report.host_peak_records <= budget
-        assert_equivalent(strict, fast)
-
-    def test_partial_certificate_verifies(self, small):
-        op = optimize_plan(self.overlap_plan(small))
-        cert = op.verify()
-        assert cert["partial_groups"] == 1
-
-    def test_partial_fusion_off_by_knob(self, small):
-        """``fuse_partial=False`` is the before/after control: both
-        settings execute to the same observable state."""
-        g = small
-        plan = self.overlap_plan(g)
-        a, b = fresh(g), fresh(g)
-        optimize_plan(plan, fuse_partial=False).execute(a)
-        optimize_plan(plan, fuse_partial=True).execute(b)
-        assert_equivalent(a, b)
-
-    def test_full_chain_not_degraded_to_partial(self, geometry):
-        """Fully-overlapping chains keep using whole-chain fusion; the
-        partial path only claims pairs full fusion cannot."""
-        plan, _ = multi_pass_plan(geometry)
-        op = optimize_plan(plan)
-        assert op.report.fused_groups == 1
-        assert op.report.partial_groups == 0

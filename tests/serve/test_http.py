@@ -32,6 +32,12 @@ GEOMETRY = dict(N=2**10, B=2**3, D=2**2, M=2**7)
 #: to observe queued/running states deterministically via /stats polling.
 SLOW = FaultPlan(seed=0, slow_passes=1.0, slow_seconds=0.05)
 
+#: Slower still, for tests that queue requests behind a running one: the
+#: running request must outlast the test's HTTP round trips and the
+#: listener shutdown (up to one 50 ms accept-loop poll), which SLOW's one
+#: fused-pass sleep does not under full-suite load.
+HOLD = FaultPlan(seed=0, slow_passes=1.0, slow_seconds=0.5)
+
 TRANSPOSE = {"perm": "transpose", "method": "auto"}
 
 
@@ -218,13 +224,14 @@ class TestIntrospection:
 class TestErrorTaxonomy:
     def test_validation_error_is_400(self, geometry):
         with make_frontend(geometry, workers=1) as fe:
-            status, body = http_json(
-                "POST", fe.url, "/permutations", {"no_such_field": 1}
-            )
-        assert status == 400
-        assert body["error"]["type"] == "ValidationError"
-        assert "no_such_field" in body["error"]["message"]
-        assert body["error"]["status"] == 400
+            for field, value in (("no_such_field", 1), ("backend", "numpy")):
+                status, body = http_json(
+                    "POST", fe.url, "/permutations", {field: value}
+                )
+                assert status == 400
+                assert body["error"]["type"] == "ValidationError"
+                assert field in body["error"]["message"]
+                assert body["error"]["status"] == 400
 
     def test_unknown_perm_name_is_400(self, geometry):
         # the name is only resolved on a worker, so this arrives as a
@@ -304,7 +311,7 @@ class TestErrorTaxonomy:
             workers=1,
             queue_capacity=1,
             queue_policy="shed-oldest",
-            faults=SLOW,
+            faults=HOLD,
         ) as fe:
             http_json(
                 "POST", fe.url, "/permutations",
@@ -451,7 +458,7 @@ class TestShutdown:
             urllib.request.urlopen(url + "/healthz", timeout=2)
 
     def test_drain_timeout_hard_cancels_queued_work(self, geometry):
-        fe = make_frontend(geometry, workers=1, faults=SLOW).start()
+        fe = make_frontend(geometry, workers=1, faults=HOLD).start()
         http_json(
             "POST", fe.url, "/permutations",
             {"request": dict(TRANSPOSE), "mode": "async"},

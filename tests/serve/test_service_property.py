@@ -1,6 +1,6 @@
 """Property: serving a request mix concurrently equals running it
-sequentially through :mod:`repro.core.runner` -- reports, IOStats and
-final portion bytes included.
+sequentially through :func:`repro.serve.run_sequential` -- reports,
+IOStats and final portion bytes included.
 
 Hypothesis draws arbitrary mixes (planner family, method, seed, engine,
 optimize knob); on failure it shrinks toward a minimal request list --
@@ -13,9 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.runner import perform_requests
 from repro.pdm.geometry import DiskGeometry
-from repro.serve import PermutationRequest
+from repro.serve import PermutationRequest, PermutationService, run_sequential
 
 GEOMETRY = DiskGeometry(N=2**10, B=2**3, D=2**2, M=2**7)
 
@@ -56,8 +55,9 @@ def requests_strategy(draw):
 )
 @given(st.lists(requests_strategy(), min_size=1, max_size=6))
 def test_service_equals_sequential_runner(requests):
-    sequential = perform_requests(GEOMETRY, requests, workers=1)
-    served = perform_requests(GEOMETRY, requests, workers=4)
+    sequential = run_sequential(GEOMETRY, requests)
+    with PermutationService(GEOMETRY, workers=4) as service:
+        served = service.run(requests)
     assert len(served) == len(sequential)
     for got, want in zip(served, sequential):
         assert got.ok == want.ok, (got.summary(), want.summary())
@@ -79,13 +79,12 @@ def test_service_equals_sequential_runner(requests):
 def test_engine_choice_invisible_in_service(requests):
     """Serving a mix with every request forced strict equals serving it
     forced fast: the engines stay indistinguishable under concurrency."""
-    strict = perform_requests(
-        GEOMETRY, [replace(r, engine="strict", optimize=False) for r in requests],
-        workers=3,
-    )
-    fast = perform_requests(
-        GEOMETRY, [replace(r, engine="fast") for r in requests], workers=3
-    )
+    with PermutationService(GEOMETRY, workers=3) as service:
+        strict = service.run(
+            [replace(r, engine="strict", optimize=False) for r in requests]
+        )
+    with PermutationService(GEOMETRY, workers=3) as service:
+        fast = service.run([replace(r, engine="fast") for r in requests])
     for a, b in zip(strict, fast):
         assert a.ok and b.ok
         assert a.digest == b.digest
