@@ -2,10 +2,13 @@
 
 Addresses are plain Python/numpy integers; bit ``k`` of the integer is
 coordinate ``x_k`` of the paper's column vector ``x = (x_0 ... x_{n-1})``
-(least significant bit first, Figure 2).  The hot path of the whole
-library is :func:`apply_affine`, which evaluates ``y = A x (+) c`` for a
-whole numpy array of addresses at once: one XOR-fold per matrix column
-instead of one GF(2) matrix-vector product per record.
+(least significant bit first, Figure 2).  Two vectorized evaluators
+of ``y = A x (+) c`` carry the library's hot paths.
+:func:`apply_affine` maps an arbitrary numpy array of addresses with
+one XOR-fold per matrix column instead of one GF(2) matrix-vector
+product per record.  :func:`affine_image` builds the image of the
+*whole* address space by doubling, one XOR per record; it is what makes
+full-disk verification and whole-pass planning cheap.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "parity",
     "column_ints",
     "apply_affine",
+    "affine_image",
     "apply_linear_scalar",
 ]
 
@@ -88,8 +92,8 @@ def apply_affine(
 
     ``matrix`` is ``p x q``; addresses must fit in ``q`` bits and results
     are ``p``-bit integers.  The array path costs ``O(q)`` vectorized XOR
-    passes over the input, which is what makes full-disk permutation
-    verification feasible.
+    passes over the input; for the image of every address use
+    :func:`affine_image`, which costs one.
     """
     scalar = np.isscalar(addresses) or isinstance(addresses, int)
     xs = np.asarray(addresses, dtype=np.uint64).reshape(-1)
@@ -105,6 +109,23 @@ def apply_affine(
             ys ^= mask & np.uint64(cols[j])
     if scalar:
         return int(ys[0])
+    return ys
+
+
+def affine_image(matrix: "BitMatrix", complement: int) -> np.ndarray:
+    """``[A x (+) c for x in range(2^q)]`` as int64, for a ``p x q`` matrix.
+
+    Built by doubling: ``y[0] = c``, and the addresses ``2^j .. 2^(j+1)-1``
+    are those below ``2^j`` with bit ``j`` set, so their images are
+    ``y[:2^j] (+) A_j``.  That is one XOR per record, against
+    :func:`apply_affine`'s one pass per column.
+    """
+    q = matrix.num_cols
+    ys = np.empty(1 << q, dtype=np.int64)
+    ys[0] = complement
+    for j, column in enumerate(matrix.column_ints):
+        half = 1 << j
+        np.bitwise_xor(ys[:half], column, out=ys[half : 2 * half])
     return ys
 
 

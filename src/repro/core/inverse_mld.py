@@ -102,14 +102,13 @@ def plan_inverse_mld_pass(
     g = geometry
     if check_class:
         require_inverse_mld(perm, g.b, g.m)
-    inverse = perm.inverse()
+    inverse_image = perm.inverse().target_vector()
     blocks_per_ml = g.blocks_per_memoryload
     reads_per_ml = g.stripes_per_memoryload
     builder = PlanBuilder(g)
     builder.begin_pass(label)
     for ml in range(g.num_memoryloads):
-        targets = g.memoryload_addresses(ml).astype(np.uint64)
-        sources = np.asarray(inverse.apply_array(targets), dtype=np.int64)
+        sources = inverse_image[ml * g.M : (ml + 1) * g.M]
         order = np.argsort(sources)
         sorted_sources = sources[order]
 
@@ -214,14 +213,16 @@ def plan_mld_composition_pass(
     require_mld(y_perm, g.b, g.m)
     blocks_per_ml = g.blocks_per_memoryload
     ios_per_side = g.stripes_per_memoryload
+    x_image = x_perm.target_vector()
+    y_image = y_perm.target_vector()
     builder = PlanBuilder(g)
     builder.begin_pass(label)
     for ml in range(g.num_memoryloads):
-        intermediate = g.memoryload_addresses(ml).astype(np.uint64)
+        intermediate = slice(ml * g.M, (ml + 1) * g.M)
         # where X put this memoryload (= where we must read from)
-        sources = np.asarray(x_perm.apply_array(intermediate), dtype=np.int64)
+        sources = x_image[intermediate]
         # where Y sends this memoryload (= where we must write to)
-        targets = np.asarray(y_perm.apply_array(intermediate), dtype=np.int64)
+        targets = y_image[intermediate]
 
         src_order = np.argsort(sources)
         src_blocks = sources[src_order].reshape(blocks_per_ml, g.B)

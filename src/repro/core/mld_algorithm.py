@@ -47,12 +47,12 @@ def plan_mld_pass(
         require_mld(perm, g.b, g.m)
     blocks_per_ml = g.blocks_per_memoryload  # M/B
     writes_per_ml = g.stripes_per_memoryload  # M/BD
+    image = perm.target_vector()
     builder = PlanBuilder(g)
     builder.begin_pass(label)
     for ml in range(g.num_memoryloads):
         slots = builder.read_memoryload(source_portion, ml)
-        addresses = g.memoryload_addresses(ml).astype(np.uint64)
-        targets = np.asarray(perm.apply_array(addresses), dtype=np.int64)
+        targets = image[ml * g.M : (ml + 1) * g.M]
         order = np.argsort(targets)
         sorted_targets = targets[order]
 

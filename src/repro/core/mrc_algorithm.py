@@ -40,12 +40,12 @@ def plan_mrc_pass(
     """
     g = geometry
     require_mrc(perm, g.m)
+    image = perm.target_vector()
     builder = PlanBuilder(g)
     builder.begin_pass(label)
     for ml in range(g.num_memoryloads):
         slots = builder.read_memoryload(source_portion, ml)
-        addresses = g.memoryload_addresses(ml).astype(np.uint64)
-        targets = np.asarray(perm.apply_array(addresses), dtype=np.int64)
+        targets = image[ml * g.M : (ml + 1) * g.M]
         order = np.argsort(targets)
         sorted_targets = targets[order]
         target_ml = int(sorted_targets[0]) >> g.m

@@ -8,9 +8,9 @@ result, and report measured I/Os next to every relevant bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-
-import numpy as np
+from types import MappingProxyType
 
 from repro.core import bounds
 from repro.core.bmmc_algorithm import perform_bmmc
@@ -31,6 +31,10 @@ __all__ = [
     "perform_permutation",
     "perform_pipeline",
 ]
+
+#: Entries in the memo of BMMC classes and bound tables
+#: (:func:`perform_permutation`).
+ANALYSIS_MEMO_SIZE = 64
 
 
 @dataclass
@@ -103,11 +107,14 @@ def perform_permutation(
     The source portion must already hold the canonical payloads
     (``fill_identity``); verification checks
     ``target[pi(x)] == x`` afterwards.
+
+    A BMMC permutation's classes and bound table depend only on
+    ``(A, c, geometry)``; the last :data:`ANALYSIS_MEMO_SIZE` of them
+    are memoized, and every report gets its own copies.
     """
     g = system.geometry
     source_values = system.peek(source_portion, 0, g.N)
-    classes = classify(perm, g)
-    bperm = _as_bmmc(perm, classes)
+    classes, bperm, table = _analyze(perm, g)
 
     chosen = method
     if method == "auto":
@@ -184,16 +191,15 @@ def perform_permutation(
     if verify:
         verified = system.verify_permutation(perm, source_values, final)
 
-    report = RunReport(
+    return RunReport(
         method=chosen,
         classes=classes,
         passes=passes,
         io=io,
         final_portion=final,
         verified=verified,
+        bounds=table,
     )
-    report.bounds = _bound_table(g, bperm, classes)
-    return report
 
 
 def perform_pipeline(
@@ -240,9 +246,26 @@ def perform_pipeline(
     )
 
 
-def _as_bmmc(perm: Permutation, classes: set[PermClass]) -> BMMCPermutation | None:
+def _analyze(
+    perm: Permutation, g
+) -> tuple[set[PermClass], BMMCPermutation | None, dict[str, float]]:
+    """``(classes, perm as BMMC or None, bound table)``, fresh containers."""
     if isinstance(perm, BMMCPermutation):
-        return perm
+        classes, table = _bmmc_analysis(perm.matrix, perm.complement, g)
+        return set(classes), perm, dict(table)
+    classes = classify(perm, g)
+    bperm = _as_bmmc(perm, classes)
+    return classes, bperm, _bound_table(g, bperm, classes)
+
+
+@functools.lru_cache(maxsize=ANALYSIS_MEMO_SIZE)
+def _bmmc_analysis(matrix, complement: int, g):
+    perm = BMMCPermutation(matrix, complement, validate=False)
+    classes = classify(perm, g)
+    return frozenset(classes), MappingProxyType(_bound_table(g, perm, classes))
+
+
+def _as_bmmc(perm: Permutation, classes: set[PermClass]) -> BMMCPermutation | None:
     if PermClass.BMMC in classes:
         fitted = fit_bmmc(perm.target_vector())
         if fitted is not None:

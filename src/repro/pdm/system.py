@@ -297,15 +297,14 @@ class ParallelDiskSystem:
     ) -> bool:
         """Check that ``target[perm(x)] == source_values[x]`` for every ``x``.
 
-        ``perm`` is any object with ``apply_array``; this is a model-level
-        correctness check, not an I/O-counted operation.
+        ``perm`` is any object with ``target_vector`` (every
+        :class:`~repro.perms.base.Permutation` has one); this is a
+        model-level correctness check, not an I/O-counted operation.
         """
-        g = self.geometry
-        xs = np.arange(g.N, dtype=np.uint64)
-        ys = np.asarray(perm.apply_array(xs), dtype=np.int64)
+        ys = perm.target_vector()
         return bool(
             (
-                self._data[target_portion, ys]
+                self._data[target_portion][ys]
                 == np.asarray(source_values, dtype=self.dtype)
             ).all()
         )

@@ -57,8 +57,7 @@ class Permutation(ABC):
         return ExplicitPermutation(mine[theirs])
 
     def is_identity(self) -> bool:
-        xs = np.arange(self.N, dtype=np.uint64)
-        return bool((np.asarray(self.apply_array(xs), dtype=np.int64) == xs.astype(np.int64)).all())
+        return bool((self.target_vector() == np.arange(self.N)).all())
 
     def __call__(self, x: int) -> int:
         return self.apply(x)

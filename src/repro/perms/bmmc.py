@@ -48,6 +48,9 @@ class BMMCPermutation(Permutation):
     def apply_array(self, xs: np.ndarray) -> np.ndarray:
         return bitops.apply_affine(self.matrix, self.complement, np.asarray(xs))
 
+    def target_vector(self) -> np.ndarray:
+        return bitops.affine_image(self.matrix, self.complement)
+
     def inverse(self) -> "BMMCPermutation":
         inv = linalg.inverse(self.matrix)
         return BMMCPermutation(inv, inv.mulvec(self.complement), validate=False)

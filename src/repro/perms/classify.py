@@ -102,8 +102,6 @@ def fit_bmmc(targets: np.ndarray) -> tuple[BitMatrix, int] | None:
     matrix = BitMatrix.from_int_columns(columns, n)
     if not linalg.is_nonsingular(matrix):
         return None
-    xs = np.arange(size, dtype=np.uint64)
-    ys = bitops.apply_affine(matrix, c, xs)
-    if not (np.asarray(ys, dtype=np.int64) == targets).all():
+    if not (bitops.affine_image(matrix, c) == targets).all():
         return None
     return matrix, c

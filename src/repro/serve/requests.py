@@ -17,6 +17,7 @@ must be byte-identical to running the same request alone through
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -64,6 +65,9 @@ PERM_CHOICES = [
     "random",
 ]
 
+#: Entries in the memo of named BMMC permutations (:func:`make_permutation`).
+PERMUTATION_MEMO_SIZE = 64
+
 
 def make_permutation(
     name: str,
@@ -76,7 +80,20 @@ def make_permutation(
     Deterministic in ``(name, geometry, seed, rank_gamma)``: the
     ``random-*`` families draw from ``default_rng(seed)``, so a request
     is a pure value and re-running it reproduces the same permutation.
+    Named BMMC permutations are memoized on that tuple (the last
+    :data:`PERMUTATION_MEMO_SIZE` of them) and shared, which is safe
+    because nothing mutates a :class:`BMMCPermutation`.  ``"random"`` is
+    built afresh on every call: its target vector holds ``N`` int64.
     """
+    if name == "random":
+        return ExplicitPermutation(np.random.default_rng(seed).permutation(geometry.N))
+    return _named_bmmc(name, geometry, seed, rank_gamma)
+
+
+@functools.lru_cache(maxsize=PERMUTATION_MEMO_SIZE)
+def _named_bmmc(
+    name: str, geometry: DiskGeometry, seed: int, rank_gamma: int | None
+) -> BMMCPermutation:
     from repro.bits.random import (
         random_bmmc_with_rank_gamma,
         random_bit_permutation,
@@ -115,8 +132,6 @@ def make_permutation(
         return BMMCPermutation(random_mrc_matrix(g.n, g.m, rng))
     if name == "random-mld":
         return BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, rng))
-    if name == "random":
-        return ExplicitPermutation(rng.permutation(g.N))
     raise ValidationError(f"unknown permutation {name!r}")
 
 

@@ -265,6 +265,8 @@ class PermutationService:
         self._active: dict[int, CancellationToken] = {}
         self._leaders: dict[tuple, _Item] = {}
         self._closed = False
+        # Set by a hard close: past this instant no worker dequeues.
+        self._hard_deadline: float | None = None
         self._submitted = 0
         self._admitted = 0
         self._shed = 0
@@ -305,6 +307,11 @@ class PermutationService:
                     self._work.wait()
                 if not self._queue:
                     return  # closed and drained
+                if (
+                    self._hard_deadline is not None
+                    and time.monotonic() >= self._hard_deadline
+                ):
+                    return  # hard-closed: close() flushes the queue
                 item = self._queue.popleft()
                 self._running += 1
                 self._active[item.index] = item.token
@@ -666,17 +673,21 @@ class PermutationService:
         queued requests resolve with
         :class:`~repro.errors.ServiceClosedError`, running requests'
         tokens are cancelled so they unwind at their next checkpoint --
-        and the call still joins every worker before returning.
+        and the call still joins every worker before returning.  The
+        deadline is fixed in the same lock hold that closes the service,
+        and no worker dequeues past it, so a worker that finishes while
+        the queue is being flushed cannot start a queued request.
         """
         with self._lock:
             self._closed = True
+            if wait and drain_timeout is not None:
+                deadline = self._hard_deadline = time.monotonic() + drain_timeout
             self._work.notify_all()
             self._space.notify_all()
         if not wait:
             return
         flushed: list[tuple[_Item, ServiceResult, list]] = []
         if drain_timeout is not None:
-            deadline = time.monotonic() + drain_timeout
             with self._lock:
                 while self._queue or self._running:
                     remaining = deadline - time.monotonic()

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bits import bitops
 from repro.bits.matrix import BitMatrix
 from repro.bits.random import random_nonsingular
 from repro.errors import ValidationError
+from repro.perms.bmmc import BMMCPermutation
 
 
 class TestIntToBits:
@@ -106,6 +109,7 @@ class TestApplyAffine:
         xs = np.arange(16, dtype=np.uint64)
         ys = bitops.apply_affine(a, 0, xs)
         assert (ys == (xs & np.uint64(3))).all()
+        assert (bitops.affine_image(a, 0) == ys.astype(np.int64)).all()
 
     def test_address_overflow_rejected(self):
         a = BitMatrix.identity(3)
@@ -114,8 +118,23 @@ class TestApplyAffine:
 
     def test_is_permutation_when_nonsingular(self):
         a = random_nonsingular(8, np.random.default_rng(7))
-        ys = bitops.apply_affine(a, 0b1010, np.arange(256, dtype=np.uint64))
-        assert np.unique(np.asarray(ys)).size == 256
+        for ys in (
+            bitops.apply_affine(a, 0b1010, np.arange(256, dtype=np.uint64)),
+            BMMCPermutation(a, 0b1010).target_vector(),
+        ):
+            assert np.unique(np.asarray(ys)).size == 256
+
+    @given(st.integers(0, 12), st.integers(0, 2**31))
+    @example(0, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_target_vector_matches_apply_affine(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = random_nonsingular(n, rng)
+        c = int(rng.integers(0, 1 << n))
+        image = BMMCPermutation(a, c).target_vector()
+        expected = bitops.apply_affine(a, c, np.arange(1 << n, dtype=np.uint64))
+        assert image.dtype == np.int64
+        assert (image == np.asarray(expected, dtype=np.int64)).all()
 
 
 class TestApplyLinearScalar:

@@ -161,3 +161,49 @@ class TestReport:
         # running anything does not verify
         s2 = fresh(g)
         assert not s2.verify_permutation(gray_code(g.n), np.arange(g.N), 1)
+
+
+class TestMemo:
+    def test_equal_bmmc_runs_get_equal_but_distinct_analysis(self, geometry, monkeypatch):
+        from repro.bits.matrix import BitMatrix
+        from repro.core import runner
+
+        g = geometry
+        a = random_nonsingular(g.n, np.random.default_rng(11))
+        runner._bmmc_analysis.cache_clear()
+        calls = []
+        classify = runner.classify
+
+        def counting_classify(*args):
+            calls.append(args)
+            return classify(*args)
+
+        monkeypatch.setattr(runner, "classify", counting_classify)
+
+        def run():
+            perm = BMMCPermutation(BitMatrix(a.to_array().copy()), 5)
+            return perform_permutation(fresh(g), perm)
+
+        first, second = run(), run()
+        assert len(calls) == 1  # the second run was served by the memo
+        assert first.classes == second.classes and first.bounds == second.bounds
+        assert first.classes is not second.classes
+        assert first.bounds is not second.bounds
+
+        expected_classes, expected_bounds = set(second.classes), dict(second.bounds)
+        first.classes.add(PermClass.NON_BMMC)
+        first.bounds["rank_gamma"] = -1.0
+        third = run()
+        for report in (second, third):
+            assert report.classes == expected_classes
+            assert report.bounds == expected_bounds
+
+    def test_random_permutation_is_never_memoized(self, geometry):
+        from repro.serve.requests import make_permutation
+
+        first = make_permutation("random", geometry, seed=3)
+        second = make_permutation("random", geometry, seed=3)
+        assert first is not second
+        assert (first.target_vector() == second.target_vector()).all()
+        named = make_permutation("random-bmmc", geometry, seed=3)
+        assert make_permutation("random-bmmc", geometry, seed=3) is named

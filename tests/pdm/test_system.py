@@ -178,8 +178,14 @@ class TestVerifyAndPeek:
         g = system.geometry
         perm = vector_reversal(g.n)
         # manually place reversed data in portion 1
-        system.fill(1, np.arange(g.N)[::-1].copy())
+        placed = np.arange(g.N)[::-1].copy()
+        system.fill(1, placed)
         assert system.verify_permutation(perm, np.arange(g.N), 1)
+        # the same result with two records swapped must not verify
+        i, j = g.N // 3, g.N // 3 + 1
+        placed[[i, j]] = placed[[j, i]]
+        system.fill(1, placed)
+        assert not system.verify_permutation(perm, np.arange(g.N), 1)
 
     def test_verify_detects_wrong_result(self, system):
         from repro.perms.library import vector_reversal

@@ -25,6 +25,7 @@ from repro.serve import (
     ServiceMetrics,
 )
 from repro.serve.loadgen import http_json, http_text, reconcile
+from tests.serve.test_coalesce import _await, _GateCache
 
 GEOMETRY = dict(N=2**10, B=2**3, D=2**2, M=2**7)
 
@@ -477,6 +478,48 @@ class TestShutdown:
         stats = fe.service.stats()
         assert stats.cancelled >= 1
         assert stats.admitted + stats.shed == stats.submitted
+
+    def test_hard_close_never_starts_queued_work(self, geometry, monkeypatch):
+        """A worker that finishes its request while close() is between
+        its two lock holds must not start a queued one.
+
+        The patched clock releases the held request the first time
+        close() reads the time.  If close() holds no lock at that moment
+        (it is between its lock holds), the clock also waits until the
+        worker has had the chance to take the queued request.
+        """
+        from repro.serve import service as service_module
+
+        cache = _GateCache()
+        fe = make_frontend(geometry, workers=1, cache=cache).start()
+        http_json(
+            "POST", fe.url, "/permutations",
+            {"request": dict(TRANSPOSE), "mode": "async"},
+        )
+        _await(lambda: cache.compiles == 1)
+        _, queued = http_json(
+            "POST", fe.url, "/permutations",
+            {"request": {"perm": "gray", "method": "auto"}, "mode": "async"},
+        )
+        real_time = service_module.time
+        closer = threading.current_thread()
+
+        class Clock:
+            def __getattr__(self, name):
+                return getattr(real_time, name)
+
+            def monotonic(self):
+                if threading.current_thread() is closer and not cache.gate.is_set():
+                    cache.gate.set()
+                    if not fe.service._lock.locked():
+                        _await(lambda: cache.compiles == 2)
+                return real_time.monotonic()
+
+        monkeypatch.setattr(service_module, "time", Clock())
+        fe.close(drain_timeout=0.0)
+        assert cache.compiles == 1, "a queued request started after close()"
+        result = fe.lookup(queued["request_id"]).result(timeout=5)
+        assert isinstance(result.error, ServiceClosedError)
 
     def test_stats_reconcile_after_hard_close(self, geometry):
         metrics = ServiceMetrics()
