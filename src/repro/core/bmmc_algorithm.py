@@ -31,7 +31,6 @@ from repro.core.mld_algorithm import plan_mld_pass
 from repro.core.mrc_algorithm import plan_mrc_pass
 from repro.errors import ValidationError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
-from repro.pdm.engine import execute_plan
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import IOPlan
 from repro.pdm.system import ParallelDiskSystem
@@ -170,43 +169,34 @@ def perform_bmmc(
 
     ``cache`` keys the compiled multi-pass plan (factoring included) by
     (geometry, matrix, complement); repeated workloads skip
-    classification, factoring, planning, fusing, and validation.
-    ``optimize`` additionally fuses the ping-pong chain into one
-    physical gather/scatter (fast engine only; stats are unchanged).
+    classification, factoring, planning, fusing, and validation.  An
+    explicit ``plan`` (a step list) is not part of that key, so such a
+    run bypasses the cache.  ``optimize`` additionally fuses the
+    ping-pong chain into one physical gather/scatter (fast engine only;
+    stats are unchanged).
     """
     before = system.stats.parallel_ios
-    if cache is not None and plan is None:
-        key = plan_key(
-            "bmmc", system.geometry, perm.matrix, perm.complement,
-            source_portion, target_portion, merge_factors,
-            system.num_portions, system.simple_io,
-        )
+    key = plan_key(
+        "bmmc", system.geometry, perm.matrix, perm.complement,
+        source_portion, target_portion, merge_factors,
+        system.num_portions, system.simple_io,
+    )
 
-        def build():
+    def build():
+        steps = plan
+        if steps is None:
             steps = plan_bmmc_passes(perm, system.geometry, merge_factors=merge_factors)
-            io_plan, final = plan_bmmc_io(
-                system.geometry, steps, source_portion, target_portion
-            )
-            return io_plan, {"steps": steps, "final": final}
+        io_plan, final = plan_bmmc_io(
+            system.geometry, steps, source_portion, target_portion
+        )
+        return io_plan, {"steps": steps, "final": final}
 
-        compiled, _, _ = cached_execute(
-            system, cache, key, build, engine=engine, optimize=optimize,
-            stream_records=stream_records,
-        )
-        return BMMCRunResult(
-            steps=compiled.meta["steps"],
-            final_portion=compiled.meta["final"],
-            parallel_ios=system.stats.parallel_ios - before,
-        )
-    if plan is None:
-        plan = plan_bmmc_passes(perm, system.geometry, merge_factors=merge_factors)
-    io_plan, final = plan_bmmc_io(system.geometry, plan, source_portion, target_portion)
-    execute_plan(
-        system, io_plan, engine=engine, optimize=optimize,
-        stream_records=stream_records,
+    meta, _, _ = cached_execute(
+        system, cache if plan is None else None, key, build,
+        engine=engine, optimize=optimize, stream_records=stream_records,
     )
     return BMMCRunResult(
-        steps=plan,
-        final_portion=final,
+        steps=meta["steps"],
+        final_portion=meta["final"],
         parallel_ios=system.stats.parallel_ios - before,
     )

@@ -23,7 +23,6 @@ from repro.bits.colops import is_mld_form
 from repro.bits.matrix import BitMatrix
 from repro.errors import NotInClassError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
-from repro.pdm.engine import execute_plan
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import IOPlan, PlanBuilder
 from repro.pdm.system import ParallelDiskSystem
@@ -149,35 +148,21 @@ def perform_inverse_mld_pass(
     stream_records=None,
 ) -> None:
     """Perform an inverse-MLD permutation in one pass."""
-    if cache is not None:
-        key = plan_key(
-            "inv-mld", system.geometry, perm.matrix, perm.complement,
-            source_portion, target_portion, label,
-            system.num_portions, system.simple_io,
-        )
-        cached_execute(
-            system, cache, key,
-            lambda: (
-                plan_inverse_mld_pass(
-                    system.geometry, perm, source_portion, target_portion,
-                    label=label, check_class=check_class,
-                ),
-                None,
-            ),
-            engine=engine, optimize=optimize, stream_records=stream_records,
-        )
-        return
-    plan = plan_inverse_mld_pass(
-        system.geometry,
-        perm,
-        source_portion,
-        target_portion,
-        label=label,
-        check_class=check_class,
+    key = plan_key(
+        "inv-mld", system.geometry, perm.matrix, perm.complement,
+        source_portion, target_portion, label,
+        system.num_portions, system.simple_io,
     )
-    execute_plan(
-        system, plan, engine=engine, optimize=optimize,
-        stream_records=stream_records,
+    cached_execute(
+        system, cache, key,
+        lambda: (
+            plan_inverse_mld_pass(
+                system.geometry, perm, source_portion, target_portion,
+                label=label, check_class=check_class,
+            ),
+            None,
+        ),
+        engine=engine, optimize=optimize, stream_records=stream_records,
     )
 
 
@@ -274,30 +259,21 @@ def perform_mld_composition_pass(
     stream_records=None,
 ) -> BMMCPermutation:
     """Perform ``Y o X^-1`` in one pass; returns the composed permutation."""
-    if cache is not None:
-        key = plan_key(
-            "mld-o-mldinv", system.geometry,
-            y_perm.matrix, y_perm.complement, x_perm.matrix, x_perm.complement,
-            source_portion, target_portion, label,
-            system.num_portions, system.simple_io,
-        )
-        cached_execute(
-            system, cache, key,
-            lambda: (
-                plan_mld_composition_pass(
-                    system.geometry, y_perm, x_perm,
-                    source_portion, target_portion, label=label,
-                ),
-                None,
-            ),
-            engine=engine, optimize=optimize, stream_records=stream_records,
-        )
-        return y_perm.compose(x_perm.inverse())
-    plan = plan_mld_composition_pass(
-        system.geometry, y_perm, x_perm, source_portion, target_portion, label=label
+    key = plan_key(
+        "mld-o-mldinv", system.geometry,
+        y_perm.matrix, y_perm.complement, x_perm.matrix, x_perm.complement,
+        source_portion, target_portion, label,
+        system.num_portions, system.simple_io,
     )
-    execute_plan(
-        system, plan, engine=engine, optimize=optimize,
-        stream_records=stream_records,
+    cached_execute(
+        system, cache, key,
+        lambda: (
+            plan_mld_composition_pass(
+                system.geometry, y_perm, x_perm,
+                source_portion, target_portion, label=label,
+            ),
+            None,
+        ),
+        engine=engine, optimize=optimize, stream_records=stream_records,
     )
     return y_perm.compose(x_perm.inverse())

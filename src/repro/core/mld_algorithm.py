@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.errors import NotInClassError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
-from repro.pdm.engine import execute_plan
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import IOPlan, PlanBuilder
 from repro.pdm.system import ParallelDiskSystem
@@ -107,33 +106,19 @@ def perform_mld_pass(
     :mod:`repro.pdm.optimize` (fast engine only); ``stream_records``
     bounds the executor's host read-stream buffer.
     """
-    if cache is not None:
-        key = plan_key(
-            "mld", system.geometry, perm.matrix, perm.complement,
-            source_portion, target_portion, label,
-            system.num_portions, system.simple_io,
-        )
-        cached_execute(
-            system, cache, key,
-            lambda: (
-                plan_mld_pass(
-                    system.geometry, perm, source_portion, target_portion,
-                    label=label, check_class=check_class,
-                ),
-                None,
-            ),
-            engine=engine, optimize=optimize, stream_records=stream_records,
-        )
-        return
-    plan = plan_mld_pass(
-        system.geometry,
-        perm,
-        source_portion,
-        target_portion,
-        label=label,
-        check_class=check_class,
+    key = plan_key(
+        "mld", system.geometry, perm.matrix, perm.complement,
+        source_portion, target_portion, label,
+        system.num_portions, system.simple_io,
     )
-    execute_plan(
-        system, plan, engine=engine, optimize=optimize,
-        stream_records=stream_records,
+    cached_execute(
+        system, cache, key,
+        lambda: (
+            plan_mld_pass(
+                system.geometry, perm, source_portion, target_portion,
+                label=label, check_class=check_class,
+            ),
+            None,
+        ),
+        engine=engine, optimize=optimize, stream_records=stream_records,
     )

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.errors import NotInClassError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
-from repro.pdm.engine import execute_plan
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import IOPlan, PlanBuilder
 from repro.pdm.system import ParallelDiskSystem
@@ -76,27 +75,18 @@ def perform_mrc_pass(
     workloads; ``optimize`` enables the plan-level rewrites;
     ``stream_records`` bounds the executor's host buffer.
     """
-    if cache is not None:
-        key = plan_key(
-            "mrc", system.geometry, perm.matrix, perm.complement,
-            source_portion, target_portion, label,
-            system.num_portions, system.simple_io,
-        )
-        cached_execute(
-            system, cache, key,
-            lambda: (
-                plan_mrc_pass(
-                    system.geometry, perm, source_portion, target_portion, label=label
-                ),
-                None,
-            ),
-            engine=engine, optimize=optimize, stream_records=stream_records,
-        )
-        return
-    plan = plan_mrc_pass(
-        system.geometry, perm, source_portion, target_portion, label=label
+    key = plan_key(
+        "mrc", system.geometry, perm.matrix, perm.complement,
+        source_portion, target_portion, label,
+        system.num_portions, system.simple_io,
     )
-    execute_plan(
-        system, plan, engine=engine, optimize=optimize,
-        stream_records=stream_records,
+    cached_execute(
+        system, cache, key,
+        lambda: (
+            plan_mrc_pass(
+                system.geometry, perm, source_portion, target_portion, label=label
+            ),
+            None,
+        ),
+        engine=engine, optimize=optimize, stream_records=stream_records,
     )

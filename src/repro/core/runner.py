@@ -71,7 +71,6 @@ def perform_permutation(
     optimize: bool = False,
     cache: PlanCache | None = None,
     seed: int = 0,
-    stream_records=None,
 ) -> RunReport:
     """Run ``perm`` on ``system`` and report.
 
@@ -100,9 +99,7 @@ def perform_permutation(
     input makes the schedule a pure function of the seed and knobs).
 
     ``seed`` feeds the distribution sort's placement RNG (other methods
-    are deterministic and ignore it); ``stream_records`` bounds the
-    executors' host read-stream buffer as in
-    :func:`repro.pdm.engine.execute_plan`.
+    are deterministic and ignore it).
 
     The source portion must already hold the canonical payloads
     (``fill_identity``); verification checks
@@ -135,14 +132,12 @@ def perform_permutation(
         perform_mrc_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records,
         )
         final = target_portion
     elif chosen == "mld":
         perform_mld_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records,
         )
         final = target_portion
     elif chosen == "inv-mld":
@@ -151,7 +146,6 @@ def perform_permutation(
         perform_inverse_mld_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records,
         )
         final = target_portion
     elif chosen in ("bmmc", "bmmc-unmerged"):
@@ -164,13 +158,12 @@ def perform_permutation(
             engine=engine,
             optimize=optimize,
             cache=cache,
-            stream_records=stream_records,
         )
         final = result.final_portion
     elif chosen == "general":
         result = perform_general_sort(
-            system, perm, source_portion, target_portion, engine=engine,
-            optimize=optimize, stream_records=stream_records,
+            system, perm, source_portion, target_portion,
+            engine=engine, optimize=optimize,
         )
         final = result.final_portion
     elif chosen == "distribution":
@@ -179,7 +172,6 @@ def perform_permutation(
         result = perform_distribution_sort(
             system, perm, source_portion, target_portion, seed=seed,
             engine=engine, optimize=optimize, cache=cache,
-            stream_records=stream_records,
         )
         final = result.final_portion
     else:
@@ -230,10 +222,7 @@ def perform_pipeline(
         raise ValidationError("pipeline needs at least one permutation")
     composed: Permutation = perms[0]
     for nxt in perms[1:]:
-        if isinstance(nxt, BMMCPermutation) and isinstance(composed, BMMCPermutation):
-            composed = nxt.compose(composed)
-        else:
-            composed = nxt.compose(composed)  # explicit fallback composition
+        composed = nxt.compose(composed)
     return perform_permutation(
         system,
         composed,

@@ -9,13 +9,20 @@ matrix pipeline the same transpose) therefore re-derives byte-identical
 plans over and over, and the planners -- per-memoryload argsorts and
 class-property proofs -- dominate the cost of a fast execution.
 
-:class:`PlanCache` is an LRU map from a :func:`plan_key` to a
-:class:`CompiledPlan`: the plan with its fused per-pass arrays already
-built, the model-rule audit already passed, and (optionally) the
-cross-pass :class:`~repro.pdm.optimize.OptimizedPlan` rewrite already
-compiled.  A cache hit goes straight to gather/scatter -- no planning,
-no fusing, no structural validation; only the data-dependent simple-I/O
-checks and the memory simulation (both O(plan) numpy work) remain.
+:class:`ShardedPlanCache` is a thread-safe LRU map from a
+:func:`plan_key` to a :class:`CompiledPlan`: the plan with its fused
+per-pass arrays already built, the model-rule audit already passed, and
+(lazily, on first fast-engine use) the cross-pass
+:class:`~repro.pdm.optimize.OptimizedPlan` rewrite compiled.
+:class:`PlanCache` is the same cache with one shard, so one LRU order
+spans every entry.  A cache hit goes straight to gather/scatter -- no
+planning, no fusing, no structural validation; only the data-dependent
+simple-I/O checks and the memory simulation (both O(plan) numpy work)
+remain.
+
+:func:`cached_execute` is the one place a planner wrapper's plan runs,
+with or without a cache, and the one place that times the plan,
+compile, and execute stages.
 
 Keys must capture *everything* the plan depends on; :func:`plan_key`
 prefixes the algorithm name and geometry, and callers append the
@@ -55,11 +62,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CacheInfo:
-    """Counters snapshot for one :class:`PlanCache`.
+    """Counters snapshot for one plan cache.
 
     ``latch_waits`` counts requesters that found another thread's
-    compile in flight and waited on its latch (sharded caches only;
-    always 0 for a plain :class:`PlanCache`).
+    compile in flight and waited on its latch (always 0 for a cache
+    used by one thread).
     """
 
     hits: int
@@ -157,27 +164,6 @@ class CompiledPlan:
                     )
         return self.optimized
 
-    def execute(
-        self,
-        system: ParallelDiskSystem,
-        engine: str = "fast",
-        stream_records=None,
-        optimize: bool = True,
-    ) -> ExecReport:
-        """Run the compiled plan.
-
-        ``optimize`` selects the optimized form (compiled lazily on
-        first fast-engine use); a compiled plan is shareable between
-        callers that do and do not want the rewrites, so the choice is
-        made here, per execution, not baked into the cache entry.
-        """
-        target = (
-            self.ensure_optimized() if (optimize and engine == "fast") else self.plan
-        )
-        return execute_plan(
-            system, target, engine=engine, stream_records=stream_records
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shape = "optimized" if self.optimized is not None else "plain"
         return f"CompiledPlan({shape}, passes={self.plan.num_passes})"
@@ -209,83 +195,8 @@ def compile_plan(
     return CompiledPlan(plan, optimized, check, num_portions, simple_io, meta=meta)
 
 
-class PlanCache:
-    """LRU cache of :class:`CompiledPlan` objects keyed by :func:`plan_key`."""
-
-    def __init__(self, maxsize: int = 64) -> None:
-        maxsize = int(maxsize)
-        if maxsize < 1:
-            # maxsize=0 would make every store instantly evict its own
-            # entry: get_or_compile recompiles forever with misses and
-            # evictions climbing while size stays pinned at 0.
-            raise ValidationError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, CompiledPlan] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def lookup(self, key: tuple) -> CompiledPlan | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def store(self, key: tuple, compiled: CompiledPlan) -> None:
-        self._entries[key] = compiled
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def get_or_compile(
-        self, key: tuple, compile_fn: Callable[[], CompiledPlan]
-    ) -> tuple[CompiledPlan, bool]:
-        """Serve ``key`` from the cache, compiling-and-storing on a miss.
-
-        Returns ``(compiled, hit)``.  This is the one lookup path the
-        execution wrappers use; :class:`ShardedPlanCache` overrides it
-        with locked, compile-once semantics, so anything routed through
-        here is transparently safe under a shared concurrent cache.
-        """
-        compiled = self.lookup(key)
-        if compiled is not None:
-            return compiled, True
-        compiled = compile_fn()
-        self.store(key, compiled)
-        return compiled, False
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
-
-    def info(self) -> CacheInfo:
-        return CacheInfo(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            size=len(self._entries),
-            maxsize=self.maxsize,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        i = self.info()
-        return (
-            f"PlanCache(size={i.size}/{i.maxsize}, hits={i.hits}, "
-            f"misses={i.misses}, evictions={i.evictions})"
-        )
-
-
 class ShardedPlanCache:
-    """A thread-safe :class:`PlanCache` drop-in for concurrent serving.
+    """A thread-safe LRU plan cache for concurrent serving.
 
     Entries are spread over ``num_shards`` independent LRU shards by
     ``hash(plan_key)``, each guarded by its own lock, so requests for
@@ -350,7 +261,7 @@ class ShardedPlanCache:
             shard.entries.popitem(last=False)
             shard.evictions += 1
 
-    # ------------------------------------------------- PlanCache-compatible API
+    # ------------------------------------------------------------ lookups
     def lookup(self, key: tuple) -> CompiledPlan | None:
         """Non-coalescing probe (counts a miss even if a compile is in
         flight); prefer :meth:`get_or_compile` on serving paths."""
@@ -483,67 +394,88 @@ class ShardedPlanCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         i = self.info()
         return (
-            f"ShardedPlanCache(shards={self.num_shards}, size={i.size}/"
+            f"{type(self).__name__}(shards={self.num_shards}, size={i.size}/"
             f"{i.maxsize}, hits={i.hits}, misses={i.misses}, "
             f"evictions={i.evictions})"
         )
 
 
+class PlanCache(ShardedPlanCache):
+    """A one-shard :class:`ShardedPlanCache`: one LRU order over every entry.
+
+    It keeps the sharded cache's lock and compile-once latch, so one
+    instance may be shared between threads.
+    """
+
+    def __init__(self, maxsize: int = 64) -> None:
+        super().__init__(maxsize, num_shards=1)
+
+
 def cached_execute(
     system: ParallelDiskSystem,
-    cache: PlanCache | ShardedPlanCache | None,
+    cache: ShardedPlanCache | None,
     key: tuple,
     build: Callable[[], tuple[IOPlan, object]],
     engine: str = "fast",
     optimize: bool = True,
     stream_records=None,
-) -> tuple[CompiledPlan, ExecReport, bool]:
-    """Execute through the cache; compile-and-store on a miss.
+) -> tuple[object, ExecReport, bool]:
+    """Run a planner's plan, through ``cache`` when one is given.
 
     ``build`` is the pure planner thunk, returning ``(plan, meta)``.
-    Returns ``(compiled, exec_report, hit)``.  All cache traffic goes
-    through ``cache.get_or_compile``, so a :class:`ShardedPlanCache`
-    shared between worker threads gets compile-once cold misses and
-    exact counters with no changes to the algorithm wrappers.
+    Returns ``(meta, exec_report, hit)``; ``meta`` carries what the
+    caller needs to rebuild its run report (e.g. the BMMC factor
+    schedule), from ``build`` or from the cached entry.
 
-    The optimized form is compiled lazily, on the entry's first
-    fast-engine execution with ``optimize=True``, then memoized; the
-    caller's flag selects which form executes, so one entry serves
+    With ``cache=None`` the plan is built and handed straight to
+    :func:`~repro.pdm.engine.execute_plan` -- no audit and no compiled
+    entry, so the strict engine keeps its liveness-bounded host memory.
+    Otherwise all cache traffic goes through ``cache.get_or_compile``,
+    so a cache shared between worker threads gets compile-once cold
+    misses and exact counters with no changes to the algorithm
+    wrappers.  The optimized form is compiled lazily, on the entry's
+    first fast-engine execution with ``optimize=True``, then memoized;
+    the caller's flag selects which form executes, so one entry serves
     callers on either setting without re-compilation or a key split.
 
     When the calling thread carries an ambient timing trace
     (:func:`~repro.pdm.cancel.current_trace` -- the service installs
     one per request), the plan/compile/execute stage costs are recorded
-    on it, so every served result can report where its wall time went.
+    on it, so every result can report where its wall time went.
     """
     trace = current_trace()
 
+    def timed(stage: str, fn: Callable, *args, **kwargs):
+        started = time.perf_counter()
+        result = fn(*args, **kwargs)
+        if trace is not None:
+            trace.record(stage, time.perf_counter() - started)
+        return result
+
+    if cache is None:
+        plan, meta = timed("plan", build)
+        report = timed(
+            "execute", execute_plan, system, plan, engine=engine,
+            optimize=optimize, stream_records=stream_records,
+        )
+        return meta, report, False
+
     def _compile() -> CompiledPlan:
         checkpoint("planner", str(key[0]) if key else "")
-        planned_from = time.perf_counter()
-        plan, meta = build()
-        compiled_from = time.perf_counter()
-        compiled = compile_plan(
-            system.geometry,
-            plan,
-            num_portions=system.num_portions,
-            simple_io=system.simple_io,
+        plan, meta = timed("plan", build)
+        return timed(
+            "compile", compile_plan, system.geometry, plan,
+            num_portions=system.num_portions, simple_io=system.simple_io,
             optimize=False,  # lazy: see CompiledPlan.ensure_optimized
             meta=meta,
         )
-        if trace is not None:
-            trace.record("plan", compiled_from - planned_from)
-            trace.record("compile", time.perf_counter() - compiled_from)
-        return compiled
 
-    if cache is None:
-        compiled, hit = _compile(), False
-    else:
-        compiled, hit = cache.get_or_compile(key, _compile)
-    executed_from = time.perf_counter()
-    report = compiled.execute(
-        system, engine=engine, stream_records=stream_records, optimize=optimize
-    )
-    if trace is not None:
-        trace.record("execute", time.perf_counter() - executed_from)
-    return compiled, report, hit
+    def _execute() -> ExecReport:
+        optimized = optimize and engine == "fast"
+        target = compiled.ensure_optimized() if optimized else compiled.plan
+        return execute_plan(
+            system, target, engine=engine, stream_records=stream_records
+        )
+
+    compiled, hit = cache.get_or_compile(key, _compile)
+    return compiled.meta, timed("execute", _execute), hit

@@ -165,7 +165,6 @@ class PermutationRequest:
     optimize: bool = True
     verify: bool = True
     capture_portion: bool = False
-    stream_records: int | None = None
     source_portion: int = 0
     target_portion: int = 1
     geometry: DiskGeometry | None = None
@@ -210,7 +209,6 @@ def execution_key(
         request.optimize,
         request.verify,
         request.capture_portion,
-        request.stream_records,
         request.source_portion,
         request.target_portion,
     )
@@ -223,9 +221,10 @@ class RequestTrace:
     ``request_id`` travels with the executing thread, so anything the
     request touches -- the planner, the cache, a log line -- can
     attribute work to it.  ``timings`` accumulates named stage costs in
-    seconds: the service records ``queue_wait``, the plan cache records
-    ``plan``/``compile``/``execute``/``latch_wait``
-    (:func:`~repro.pdm.cache.cached_execute`).  :meth:`record` *adds*,
+    seconds: the service records ``queue_wait``; the plan-run path
+    (:func:`~repro.pdm.cache.cached_execute`) records ``plan`` and
+    ``execute``, plus ``compile`` on a cache miss and ``latch_wait``
+    while another thread compiles the same key.  :meth:`record` *adds*,
     so staged plans and retries accumulate per stage rather than
     overwrite.
     """
@@ -322,7 +321,6 @@ def _execute_request(
         optimize=request.optimize,
         cache=cache,
         seed=request.seed,
-        stream_records=request.stream_records,
     )
     digest = None
     if request.capture_portion:

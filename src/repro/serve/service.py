@@ -75,7 +75,7 @@ from repro.errors import (
     ServiceClosedError,
     ValidationError,
 )
-from repro.pdm.cache import PlanCache, ShardedPlanCache
+from repro.pdm.cache import ShardedPlanCache
 from repro.pdm.cancel import CancellationToken, run_scope
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.system import ParallelDiskSystem
@@ -191,9 +191,8 @@ class PermutationService:
     ``cache=None`` (the default) builds a
     :class:`~repro.pdm.cache.ShardedPlanCache`; pass ``cache=False`` to
     serve uncached, or a *thread-safe* cache object implementing
-    ``get_or_compile`` (a plain single-threaded
-    :class:`~repro.pdm.cache.PlanCache` is rejected when ``workers >
-    1`` -- its unlocked LRU would be corrupted by the pool).
+    ``get_or_compile`` (any :class:`~repro.pdm.cache.ShardedPlanCache`,
+    including the one-shard :class:`~repro.pdm.cache.PlanCache`).
     """
 
     def __init__(
@@ -233,11 +232,6 @@ class PermutationService:
             cache = ShardedPlanCache(maxsize=cache_maxsize, num_shards=num_shards)
         elif cache is False:
             cache = None
-        if self.workers > 1 and type(cache) is PlanCache:
-            raise ValidationError(
-                "PlanCache is not thread-safe; a multi-worker service needs "
-                "a ShardedPlanCache (or workers=1)"
-            )
         self.breaker = breaker
         if breaker is not None and cache is not None:
             cache = GuardedCache(cache, breaker)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bits.random import random_mld_matrix
-from repro.core.bmmc_algorithm import perform_bmmc
+from repro.core.bmmc_algorithm import perform_bmmc, plan_bmmc_passes
 from repro.core.mld_algorithm import perform_mld_pass, plan_mld_pass
 from repro.core.runner import perform_permutation
 from repro.pdm.cache import PlanCache, cached_execute, compile_plan, plan_key
@@ -123,6 +123,27 @@ class TestCachedAlgorithms:
             assert r.final_portion == ref_result.final_portion
             assert r.parallel_ios == ref_result.parallel_ios
             assert [st.name for st in r.steps] == [st.name for st in ref_result.steps]
+
+    def test_explicit_plan_bypasses_the_cache(self, geometry):
+        """Explicit ``plan=`` steps are not part of the key: the run must
+        neither read nor fill the cache, yet match the keyed run."""
+        g = geometry
+        rev = bit_reversal(g.n)
+        keyed = fresh(g)
+        want = perform_bmmc(keyed, rev, engine="fast", cache=PlanCache())
+
+        cache = PlanCache()
+        s = fresh(g)
+        steps = plan_bmmc_passes(rev, g)
+        got = perform_bmmc(s, rev, plan=steps, engine="fast", cache=cache)
+        info = cache.info()
+        assert (info.hits, info.misses, info.size) == (0, 0, 0)
+        assert got.steps is steps
+        assert got.final_portion == want.final_portion
+        assert got.parallel_ios == want.parallel_ios
+        assert s.stats.snapshot() == keyed.stats.snapshot()
+        for portion in range(s.num_portions):
+            assert (s.portion_values(portion) == keyed.portion_values(portion)).all()
 
     def test_runner_cache_and_optimize(self, geometry):
         g = geometry

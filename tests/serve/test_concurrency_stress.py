@@ -72,31 +72,38 @@ class TestSharedCacheStress:
         run_sequential(GEOMETRY, requests, cache=oracle)
 
         for iteration in range(ITERATIONS):
-            cache = ShardedPlanCache(maxsize=256, num_shards=8)
-            with PermutationService(GEOMETRY, workers=THREADS, cache=cache) as svc:
-                results = svc.run(requests)
+            # PlanCache is the one-shard form: every worker on one lock.
+            for cache in (
+                ShardedPlanCache(maxsize=256, num_shards=8),
+                PlanCache(maxsize=256),
+            ):
+                where = f"iteration {iteration}, {type(cache).__name__}"
+                with PermutationService(
+                    GEOMETRY, workers=THREADS, cache=cache
+                ) as svc:
+                    results = svc.run(requests)
 
-            for got, want in zip(results, expected):
-                assert got.ok, f"iteration {iteration}: {got.summary()}"
-                assert got.digest == want.digest, (
-                    f"iteration {iteration}, request {got.index} "
-                    f"({got.request.describe()}): portion bytes diverged "
-                    "from the sequential strict reference"
+                for got, want in zip(results, expected):
+                    assert got.ok, f"{where}: {got.summary()}"
+                    assert got.digest == want.digest, (
+                        f"{where}, request {got.index} "
+                        f"({got.request.describe()}): portion bytes diverged "
+                        "from the sequential strict reference"
+                    )
+                    assert got.report.io == want.report.io
+                    assert got.report.passes == want.report.passes
+
+                info = cache.info()
+                ref = oracle.info()
+                # compile-once: misses == distinct keys == sequential
+                # misses; a torn or double compile would add a miss.
+                assert info.misses == ref.misses, where
+                assert info.hits == ref.hits, where
+                assert info.size == ref.size, where
+                assert info.evictions == 0
+                assert info.hits + info.misses == len(
+                    [r for r in requests if r.method != "general"]
                 )
-                assert got.report.io == want.report.io
-                assert got.report.passes == want.report.passes
-
-            info = cache.info()
-            ref = oracle.info()
-            # compile-once: misses == distinct keys == sequential misses;
-            # a torn or double compile would add a miss.
-            assert info.misses == ref.misses, f"iteration {iteration}"
-            assert info.hits == ref.hits, f"iteration {iteration}"
-            assert info.size == ref.size, f"iteration {iteration}"
-            assert info.evictions == 0
-            assert info.hits + info.misses == len(
-                [r for r in requests if r.method != "general"]
-            )
 
     def test_16_threads_evicting_cache_reconciles(self, reference):
         """Under eviction pressure the counters still reconcile exactly:

@@ -225,7 +225,9 @@ class TestIntrospection:
 class TestErrorTaxonomy:
     def test_validation_error_is_400(self, geometry):
         with make_frontend(geometry, workers=1) as fe:
-            for field, value in (("no_such_field", 1), ("backend", "numpy")):
+            for field, value in (
+                ("no_such_field", 1), ("backend", "numpy"), ("stream_records", 0),
+            ):
                 status, body = http_json(
                     "POST", fe.url, "/permutations", {field: value}
                 )

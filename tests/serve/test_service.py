@@ -202,13 +202,17 @@ class TestPermutationService:
             assert service.cache_info() is None
         assert all(r.ok for r in results)
 
-    def test_multi_worker_rejects_thread_unsafe_plancache(self, geometry):
-        with pytest.raises(ValidationError, match="not thread-safe"):
-            PermutationService(geometry, workers=2, cache=PlanCache())
-        # sequential use of the unlocked cache is fine
+    def test_single_worker_serves_from_plancache(self, geometry):
         with PermutationService(geometry, workers=1, cache=PlanCache()) as svc:
             (result,) = svc.run([PermutationRequest(perm="gray")])
         assert result.ok
+
+    def test_uncached_run_records_its_stages(self, geometry):
+        (result,) = run_sequential(geometry, [PermutationRequest(perm="gray")])
+        assert result.ok
+        assert "plan" in result.timings and "execute" in result.timings
+        # no cache, so no compiled entry and no audit
+        assert "compile" not in result.timings
 
     def test_submit_after_close_raises(self, geometry):
         service = PermutationService(geometry, workers=1)
