@@ -80,7 +80,7 @@ def column_ints(matrix: "BitMatrix") -> list[int]:
     """
     a = matrix.to_array()
     weights = 1 << np.arange(a.shape[0], dtype=np.uint64)
-    return [int(np.bitwise_xor.reduce(weights[a[:, j] != 0], initial=0)) for j in range(a.shape[1])]
+    return (weights @ (a != 0).astype(np.uint64)).tolist()
 
 
 def apply_affine(

@@ -102,16 +102,11 @@ def inverse(matrix: BitMatrix) -> BitMatrix:
     reduced, pivots = _echelon_augmented(rows, n)
     if len(pivots) != n:
         raise SingularMatrixError("matrix is singular over GF(2)")
-    low_mask = (1 << n) - 1
     inv_rows = [0] * n
     for piv_col, r in zip(pivots, reduced):
         inv_rows[piv_col] = r >> n
-    a = np.zeros((n, n), dtype=np.uint8)
-    for i, r in enumerate(inv_rows):
-        for j in range(n):
-            a[i, j] = (r >> j) & 1
-    del low_mask
-    return BitMatrix(a)
+    bits = np.array(inv_rows, dtype=np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)
+    return BitMatrix._wrap((bits & 1).astype(np.uint8))
 
 
 def _echelon_augmented(rows: list[int], q: int) -> tuple[list[int], list[int]]:

@@ -28,10 +28,14 @@ def _coerce(array) -> np.ndarray:
         a = a.reshape(-1, 1)  # vectors are 1-column matrices, as in the paper
     if a.ndim != 2:
         raise DimensionError(f"BitMatrix needs a 2-D array, got ndim={a.ndim}")
-    if not np.issubdtype(a.dtype, np.integer) and a.dtype != np.bool_:
+    if (
+        a.dtype != np.uint8
+        and not np.issubdtype(a.dtype, np.integer)
+        and a.dtype != np.bool_
+    ):
         raise ValidationError(f"BitMatrix entries must be integers, got dtype {a.dtype}")
     a = a.astype(np.uint8, copy=True)
-    if ((a != 0) & (a != 1)).any():
+    if (a > 1).any():
         raise ValidationError("BitMatrix entries must be drawn from {0, 1}")
     return a
 
@@ -51,6 +55,17 @@ class BitMatrix:
     def __init__(self, array: Iterable) -> None:
         self._a = _coerce(array)
         self._a.setflags(write=False)
+
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> "BitMatrix":
+        """Wrap a 2-D 0-1 ``uint8`` array that no caller can write:
+        a fresh result of this class's own arithmetic or a view of a
+        matrix's read-only array.  Skips :func:`_coerce`'s copy and
+        check, which such arrays pass by construction."""
+        a.setflags(write=False)
+        matrix = cls.__new__(cls)
+        matrix._a = a
+        return matrix
 
     # ---------------------------------------------------------------- basics
     @classmethod
@@ -130,10 +145,7 @@ class BitMatrix:
     def row_ints(self) -> list[int]:
         """Rows encoded as integers (bit ``j`` of entry ``i`` is ``A[i, j]``)."""
         weights = 1 << np.arange(self._a.shape[1], dtype=np.uint64)
-        return [
-            int(np.bitwise_xor.reduce(weights[self._a[i] != 0], initial=0))
-            for i in range(self._a.shape[0])
-        ]
+        return ((self._a != 0).astype(np.uint64) @ weights).tolist()
 
     def __getitem__(self, key) -> "BitMatrix | int":
         if isinstance(key, tuple):
@@ -142,10 +154,9 @@ class BitMatrix:
             r, c = key
             if isinstance(r, (int, np.integer)) and isinstance(c, (int, np.integer)):
                 return int(self._a[int(r), int(c)])
-            sub = self._a[_as_index(r), :][:, _as_index(c)]
-            return BitMatrix(sub)
+            return BitMatrix._wrap(self._a[_as_index(r), :][:, _as_index(c)])
         # single index selects *columns*, per the paper's convention
-        return BitMatrix(self._a[:, _as_index(key)])
+        return BitMatrix._wrap(self._a[:, _as_index(key)])
 
     def column(self, j: int) -> int:
         """Column ``j`` as an integer-encoded bit vector."""
@@ -154,7 +165,7 @@ class BitMatrix:
     def with_entry(self, i: int, j: int, value: int) -> "BitMatrix":
         a = self._a.copy()
         a[i, j] = int(value) & 1
-        return BitMatrix(a)
+        return BitMatrix._wrap(a)
 
     def with_column(self, j: int, column: int) -> "BitMatrix":
         a = self._a.copy()
@@ -164,7 +175,7 @@ class BitMatrix:
     def with_columns_swapped(self, i: int, j: int) -> "BitMatrix":
         a = self._a.copy()
         a[:, [i, j]] = a[:, [j, i]]
-        return BitMatrix(a)
+        return BitMatrix._wrap(a)
 
     # ------------------------------------------------------------ arithmetic
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
@@ -175,14 +186,14 @@ class BitMatrix:
                 f"cannot multiply {self.shape} by {other.shape} over GF(2)"
             )
         prod = (self._a.astype(np.int64) @ other._a.astype(np.int64)) & 1
-        return BitMatrix(prod.astype(np.uint8))
+        return BitMatrix._wrap(prod.astype(np.uint8))
 
     def __xor__(self, other: "BitMatrix") -> "BitMatrix":
         if not isinstance(other, BitMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionError(f"cannot XOR {self.shape} with {other.shape}")
-        return BitMatrix(self._a ^ other._a)
+        return BitMatrix._wrap(self._a ^ other._a)
 
     def mulvec(self, x: int) -> int:
         """GF(2) matrix-vector product with an integer-encoded vector."""
@@ -190,7 +201,7 @@ class BitMatrix:
 
     @property
     def T(self) -> "BitMatrix":
-        return BitMatrix(self._a.T)
+        return BitMatrix._wrap(self._a.T)
 
     # ------------------------------------------------------------ predicates
     def __eq__(self, other) -> bool:

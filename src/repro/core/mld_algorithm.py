@@ -46,44 +46,57 @@ def plan_mld_pass(
         require_mld(perm, g.b, g.m)
     blocks_per_ml = g.blocks_per_memoryload  # M/B
     writes_per_ml = g.stripes_per_memoryload  # M/BD
-    image = perm.target_vector()
-    builder = PlanBuilder(g)
-    builder.begin_pass(label)
-    for ml in range(g.num_memoryloads):
-        slots = builder.read_memoryload(source_portion, ml)
-        targets = image[ml * g.M : (ml + 1) * g.M]
-        order = np.argsort(targets)
-        sorted_targets = targets[order]
+    rounds = g.num_memoryloads
+    # One row per source memoryload: row ml holds the targets of the M
+    # records its striped reads bring in, slot by slot.
+    targets = perm.target_vector().reshape(rounds, g.M)
+    order = np.argsort(targets, axis=1)
+    per_block = np.take_along_axis(targets, order, axis=1).reshape(
+        rounds, blocks_per_ml, g.B
+    )
+    block_ids = per_block[:, :, 0] >> g.b
 
-        # Lemma 13: exactly M/B full target blocks.
-        per_block_targets = sorted_targets.reshape(blocks_per_ml, g.B)
-        block_ids = per_block_targets[:, 0] >> g.b
-        if not (per_block_targets >> g.b == block_ids[:, None]).all():
+    # Lemma 13: exactly M/B full target blocks.  Each row is sorted, so
+    # a group of B targets is one block when its first and last are, and
+    # the blocks are distinct when they strictly increase.  Property 3:
+    # M/BD blocks per disk.
+    clustered = ((per_block[:, :, -1] >> g.b) == block_ids).all(axis=1)
+    distinct = (np.diff(block_ids, axis=1) != 0).all(axis=1)
+    disks = g.block_disk(block_ids)
+    per_disk = np.bincount(
+        (disks + g.D * np.arange(rounds)[:, None]).reshape(-1),
+        minlength=rounds * g.D,
+    ).reshape(rounds, g.D)
+    even = (per_disk == writes_per_ml).all(axis=1)
+    bad = ~(clustered & distinct & even)
+    if bad.any():
+        ml = int(np.argmax(bad))  # the first memoryload that fails
+        if not clustered[ml]:
             raise NotInClassError(
                 "memoryload does not cluster into full target blocks; "
                 "the kernel condition (eq. 4) is violated"
             )
-        if np.unique(block_ids).size != blocks_per_ml:
+        if not distinct[ml]:
             raise NotInClassError("duplicate target blocks within a memoryload")
+        raise NotInClassError("target blocks are not spread evenly over the disks")
 
-        # Property 3: M/BD blocks per disk.
-        disks = g.block_disk(block_ids)
-        if not (np.bincount(disks, minlength=g.D) == writes_per_ml).all():
-            raise NotInClassError(
-                "target blocks are not spread evenly over the disks"
-            )
-
-        # Group blocks by disk and emit M/BD independent writes of D
-        # blocks each, one block per disk per write.
-        disk_order = np.argsort(disks, kind="stable")
-        grouped_ids = block_ids[disk_order].reshape(g.D, writes_per_ml)
-        grouped_slots = slots[order].reshape(blocks_per_ml, g.B)[disk_order].reshape(
-            g.D, writes_per_ml, g.B
-        )
-        for i in range(writes_per_ml):
-            builder.write(
-                target_portion, grouped_ids[:, i], grouped_slots[:, i].reshape(-1)
-            )
+    # Group blocks by disk and emit M/BD independent writes of D blocks
+    # each, one block per disk per write.
+    disk_order = np.argsort(disks, axis=1, kind="stable")
+    grouped_ids = np.take_along_axis(block_ids, disk_order, axis=1).reshape(
+        rounds, g.D, writes_per_ml
+    )
+    grouped_slots = np.take_along_axis(
+        order.reshape(rounds, blocks_per_ml, g.B), disk_order[:, :, None], axis=1
+    ).reshape(rounds, g.D, writes_per_ml, g.B)
+    builder = PlanBuilder(g)
+    builder.begin_pass(label)
+    builder.memoryload_rounds(
+        source_portion,
+        target_portion,
+        grouped_ids.transpose(0, 2, 1),
+        grouped_slots.transpose(0, 2, 1, 3).reshape(rounds, writes_per_ml, g.D * g.B),
+    )
     return builder.build()
 
 

@@ -39,22 +39,26 @@ def plan_mrc_pass(
     """
     g = geometry
     require_mrc(perm, g.m)
-    image = perm.target_vector()
+    rounds = g.num_memoryloads
+    per = g.stripes_per_memoryload
+    # One row per source memoryload, slot by slot.
+    targets = perm.target_vector().reshape(rounds, g.M)
+    target_ml = targets.min(axis=1) >> g.m
+    # MRC guarantee: each whole memoryload lands in one memoryload.
+    if ((targets.max(axis=1) >> g.m) != target_ml).any():
+        raise NotInClassError(
+            "memoryload scattered across target memoryloads; "
+            "matrix is not MRC despite passing the form check"
+        )
+    stripes = target_ml[:, None] * per + np.arange(per)
     builder = PlanBuilder(g)
     builder.begin_pass(label)
-    for ml in range(g.num_memoryloads):
-        slots = builder.read_memoryload(source_portion, ml)
-        targets = image[ml * g.M : (ml + 1) * g.M]
-        order = np.argsort(targets)
-        sorted_targets = targets[order]
-        target_ml = int(sorted_targets[0]) >> g.m
-        # MRC guarantee: the whole memoryload lands in one memoryload.
-        if int(sorted_targets[-1]) >> g.m != target_ml:
-            raise NotInClassError(
-                "memoryload scattered across target memoryloads; "
-                "matrix is not MRC despite passing the form check"
-            )
-        builder.write_memoryload(target_portion, target_ml, slots[order])
+    builder.memoryload_rounds(
+        source_portion,
+        target_portion,
+        (stripes[:, :, None] << g.d) + np.arange(g.D),
+        np.argsort(targets, axis=1).reshape(rounds, per, g.records_per_stripe),
+    )
     return builder.build()
 
 

@@ -146,8 +146,8 @@ class CompiledPlan:
     def ensure_optimized(self):
         """Compile (and memoize) the optimized form on first demand.
 
-        Laziness keeps strict-only workloads from paying the optimizer's
-        slot-map argsorts for an artifact the strict path never runs.
+        Laziness keeps strict-only workloads from paying for the
+        optimizer's N-record pull indexes, which the strict path never runs.
         Compiled plans are shared between concurrent requests (the
         service's whole point), so the first-use compile is serialized
         under a per-entry lock: N racing executions compile once.

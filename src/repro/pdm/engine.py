@@ -134,6 +134,9 @@ class _FusedPass:
         "write_source_max", "write_source_min",
         "is_read", "step_sizes", "reads_before",
         "read_before", "write_before", "read_rec_cum", "write_rec_cum",
+        # memory effect relative to the records resident when the pass
+        # starts (see _check_memory)
+        "mem_high", "mem_low", "mem_peak", "mem_net",
         "checked_for",  # (num_portions, simple_io) the checks last ran against
     )
 
@@ -236,9 +239,38 @@ def _fuse_pass(g: DiskGeometry, pas: PlanPass) -> _FusedPass:
     f.write_addr = ((f.write_ids[:, None] << g.b) + offsets).reshape(-1)
     f.rec_read_portion = np.repeat(f.read_portions, f.read_sizes * B)
     f.rec_write_portion = np.repeat(f.write_portions, f.write_sizes * B)
+    _simulate_memory(B, f)
 
     pas._fused["fused"] = f
     return f
+
+
+def _simulate_memory(B: int, f: _FusedPass) -> None:
+    """Record the pass's memory effect, relative to the records resident
+    when it starts: the highest occupancy at any step (``mem_high``),
+    the lowest running total (``mem_low``), the peak reported at read
+    steps, never below the start (``mem_peak``), and the net change
+    (``mem_net``).
+
+    Discarding reads allocate-and-release within their own step, so they
+    contribute a transient spike to the occupancy but nothing to the net.
+    """
+    f.mem_high = f.mem_low = f.mem_peak = f.mem_net = 0
+    if not f.num_steps:
+        return
+    sizes = f.step_sizes * B
+    step_discard = np.zeros(f.num_steps, dtype=bool)
+    if f.read_discard.size and f.read_discard.any():
+        step_discard[f.is_read] = f.read_discard
+    deltas = np.where(f.is_read, np.where(step_discard, 0, sizes), -sizes)
+    prefix = np.cumsum(deltas)
+    occupancy = prefix + np.where(step_discard, sizes, 0)
+    f.mem_high = int(occupancy.max())
+    f.mem_low = int(prefix.min())
+    read_occ = occupancy[f.is_read]
+    if read_occ.size:
+        f.mem_peak = max(int(read_occ.max()), 0)
+    f.mem_net = int(prefix[-1])
 
 
 def _check_structure(g: DiskGeometry, num_portions: int, f: _FusedPass) -> None:
@@ -267,7 +299,7 @@ def _check_structure(g: DiskGeometry, num_portions: int, f: _FusedPass) -> None:
             raise ValidationError(f"pass {f.label!r}: portion out of range")
         step_of = np.repeat(np.arange(step_sizes.size, dtype=np.int64), step_sizes)
         keys = step_of * g.D + (ids & (g.D - 1))
-        if np.unique(keys).size != keys.size:
+        if np.bincount(keys).max() > 1:
             raise DiskConflictError(
                 f"pass {f.label!r}: at most one block per disk per parallel I/O"
             )
@@ -287,28 +319,42 @@ def _check_structure(g: DiskGeometry, num_portions: int, f: _FusedPass) -> None:
             )
 
 
-def _check_fusable(g: DiskGeometry, simple_io: bool, f: _FusedPass) -> None:
-    """Reject order-dependent block touches that fusion would reorder."""
-    wkeys = f.rec_write_portion[:: g.B] * g.num_blocks + f.write_ids if f.write_ids.size else f.write_ids
-    rkeys = f.rec_read_portion[:: g.B] * g.num_blocks + f.read_ids if f.read_ids.size else f.read_ids
-    if wkeys.size and np.unique(wkeys).size != wkeys.size:
-        raise PlanError(
-            f"pass {f.label!r} writes a block twice; fused execution would "
-            "reorder the writes -- use the strict engine"
+def _check_fusable(
+    g: DiskGeometry, num_portions: int, simple_io: bool, f: _FusedPass
+) -> None:
+    """Reject order-dependent block touches that fusion would reorder.
+
+    Runs after :func:`_check_structure`, so every (portion, block) key
+    lies in ``[0, num_portions * num_blocks)`` and touch counts are one
+    ``bincount`` each.
+    """
+    span = num_portions * g.num_blocks
+    written = read = None
+    if f.write_ids.size:
+        written = np.bincount(
+            f.rec_write_portion[:: g.B] * g.num_blocks + f.write_ids,
+            minlength=span,
         )
-    if rkeys.size:
-        uniq, counts = np.unique(rkeys, return_counts=True)
-        dup = uniq[counts > 1]
-        if dup.size:
+        if written.max() > 1:
+            raise PlanError(
+                f"pass {f.label!r} writes a block twice; fused execution would "
+                "reorder the writes -- use the strict engine"
+            )
+    if f.read_ids.size:
+        rkeys = f.rec_read_portion[:: g.B] * g.num_blocks + f.read_ids
+        read = np.bincount(rkeys, minlength=span)
+        if read.max() > 1:
             block_consume = np.repeat(
                 f.resolved_consume(simple_io), f.read_sizes
             )
-            if np.isin(rkeys[block_consume], dup).any():
+            if (read[rkeys[block_consume]] > 1).any():
                 raise PlanError(
                     f"pass {f.label!r} re-reads a consumed block; fused "
                     "execution cannot preserve the order -- use the strict engine"
                 )
-    if wkeys.size and rkeys.size and np.intersect1d(wkeys, rkeys).size:
+    if written is not None and read is not None and (
+        np.logical_and(written, read).any()
+    ):
         raise PlanError(
             f"pass {f.label!r} both reads and writes a block; fused execution "
             "would reorder the touches -- use the strict engine"
@@ -328,7 +374,7 @@ def _check_pass(
     if f.checked_for == key:
         return
     _check_structure(g, num_portions, f)
-    _check_fusable(g, simple_io, f)
+    _check_fusable(g, num_portions, simple_io, f)
     f.checked_for = key
 
 
@@ -347,45 +393,32 @@ class _PassMemory:
 
 
 def _check_memory(
-    g: DiskGeometry, capacity: int, in_use_start: int, fused: list[_FusedPass]
+    capacity: int, in_use_start: int, fused: list[_FusedPass]
 ) -> tuple[int, int, list[_PassMemory]]:
-    """Simulate the record-count memory across all passes; return
-    (overall peak, net delta, per-pass :class:`_PassMemory` list).
+    """Run the record-count memory across all passes from
+    ``in_use_start`` resident records; return (overall peak, net delta,
+    per-pass :class:`_PassMemory` list).
 
-    Discarding reads allocate-and-release within their own step, so they
-    contribute a transient spike to the peak but nothing to the net.
+    Each pass carries its memory effect relative to its start
+    (:func:`_simulate_memory`), so this is scalar arithmetic per pass.
     """
     in_use = in_use_start
     overall_peak = 0
     per_pass: list[_PassMemory] = []
     for f in fused:
-        sizes = f.step_sizes * g.B
-        step_discard = np.zeros(f.num_steps, dtype=bool)
-        if f.read_discard.size and f.read_discard.any():
-            step_discard[f.is_read] = f.read_discard
-        deltas = np.where(f.is_read, np.where(step_discard, 0, sizes), -sizes)
-        transient = np.where(step_discard, sizes, 0)
-        prefix = np.cumsum(deltas)
-        occupancy = prefix + transient
-        if prefix.size:
-            hi = int(occupancy.max())
-            if in_use + hi > capacity:
+        if f.num_steps:
+            if in_use + f.mem_high > capacity:
                 raise MemoryCapacityError(
-                    f"pass {f.label!r} would hold {in_use + hi} > "
+                    f"pass {f.label!r} would hold {in_use + f.mem_high} > "
                     f"M={capacity} records in memory"
                 )
-            if in_use + int(prefix.min()) < 0:
+            if in_use + f.mem_low < 0:
                 raise MemoryCapacityError(
                     f"pass {f.label!r} releases more records than are resident"
                 )
-            read_occ = occupancy[f.is_read]
-            pass_peak = in_use + int(read_occ.max()) if read_occ.size else in_use
-            net = int(prefix[-1])
-        else:
-            pass_peak, net = in_use, 0
-        mem = _PassMemory(peak=max(pass_peak, in_use), net=net)
+        mem = _PassMemory(peak=in_use + f.mem_peak, net=f.mem_net)
         per_pass.append(mem)
-        in_use += net
+        in_use += mem.net
         overall_peak = max(overall_peak, mem.peak)
     return overall_peak, in_use - in_use_start, per_pass
 
@@ -422,7 +455,7 @@ def audit_plan(
     fused = [_fuse_pass(geometry, p) for p in plan.passes]
     for f in fused:
         _check_pass(geometry, num_portions, simple_io, f)
-    peak, net, _ = _check_memory(geometry, geometry.M, 0, fused)
+    peak, net, _ = _check_memory(geometry.M, 0, fused)
     return _plan_check(fused, peak, net)
 
 
@@ -441,7 +474,7 @@ def validate_plan(system: ParallelDiskSystem, plan: IOPlan) -> PlanCheck:
     fused = [_fuse_pass(g, p) for p in plan.passes]
     for f in fused:
         _check_pass(g, system.num_portions, system.simple_io, f)
-    peak, net, _ = _check_memory(g, system.memory.capacity, system.memory.in_use, fused)
+    peak, net, _ = _check_memory(system.memory.capacity, system.memory.in_use, fused)
     return _plan_check(fused, max(peak, system.memory.peak), net)
 
 
@@ -545,9 +578,9 @@ def _require_write_targets_empty(
 ) -> None:
     """The simple-I/O write-to-empty rule, vectorized over record addrs.
 
-    Canonical check shared by the fast executor and the optimizer's
-    skipped-link audit; keep error text in sync with
-    :meth:`ParallelDiskSystem.write_blocks`.
+    Keep the error text in sync with
+    :meth:`ParallelDiskSystem.write_blocks` and the optimizer's
+    whole-portion check (``repro.pdm.optimize._run_unit``).
     """
     g = system.geometry
     data = system._data
@@ -784,7 +817,7 @@ def _execute_fast(
     fused = [_fuse_pass(g, p) for p in plan.passes]
     for f in fused:
         _check_pass(g, system.num_portions, system.simple_io, f)
-    _, _, mems = _check_memory(g, system.memory.capacity, system.memory.in_use, fused)
+    _, _, mems = _check_memory(system.memory.capacity, system.memory.in_use, fused)
 
     budget = None if capture else _stream_budget(stream_records)
     report = ExecReport(engine="fast", streams=[] if capture else None)

@@ -1,21 +1,23 @@
 """Plan-level optimization: rewrite *how* a plan executes, not what it does.
 
 The paper counts parallel I/Os; the simulator additionally pays host
-work to move every record through the portion arrays.  For multi-pass
-plans (the Theorem 21 factor chain, the merge-sort baseline) most of
-that traffic is a write immediately consumed by the next pass's read --
-the ping-pong portion is a glorified pipe.  :func:`optimize_plan`
-detects those links statically and produces an :class:`OptimizedPlan`
-that executes the whole chain as *one* physical gather → composed slot
-permutation → scatter, while still reporting pass-by-pass
-:class:`~repro.pdm.stats.IOStats` and memory peaks exactly as the
-unoptimized plan would.  Three rewrites:
+work to move every record through the portion arrays.  A pass of any
+of the paper's algorithms (MRC, MLD, inverse MLD, each factor of the
+Theorem 21 chain, each sort round) reads every address of one portion
+and writes every address of another, so on the host it is one
+permutation of one portion onto another.  :func:`optimize_plan` finds
+these *whole-portion units* statically -- a single such pass, or a
+chain of them that ping-pongs through portions -- and precomputes each
+one's ``pull`` index, so that an :class:`OptimizedPlan` moves the
+unit's data with one ``np.take(data[p_in], pull, out=data[p_out])``,
+while still reporting pass-by-pass :class:`~repro.pdm.stats.IOStats`
+and memory peaks exactly as the unoptimized plan would.  Three
+rewrites:
 
 * **pass fusion across ping-pong portions** -- pass ``k+1`` reads
-  (consuming) exactly the records pass ``k`` writes, so the write/read
+  (consuming) the whole portion pass ``k`` wrote, so the write/read
   round trip through the portion array is replaced by composing the two
-  slot permutations.  A chain of ``p`` passes becomes one gather and
-  one scatter.
+  address maps.  A chain of ``p`` passes becomes one gather.
 * **dead-write elimination** -- a write whose target block is
   overwritten by a later pass with no intervening read never influences
   the final state; the physical scatter is skipped (its I/O is still
@@ -27,17 +29,22 @@ unoptimized plan would.  Three rewrites:
   re-derived.
 
 Equivalence is by construction, and :meth:`OptimizedPlan.verify` checks
-the construction cheaply: every fused link is a portion-qualified
-address bijection, every composed slot map stays in range, and the
+the construction cheaply: every unit's members read and write whole
+portions, every pull index maps one portion into itself, and the
 per-pass I/O counters the optimized executor will report are the
 original plan's own fused counters.  The executed result is
 byte-identical in portions and identical in stats to strict execution
 (property-tested in ``tests/pdm/test_optimize.py``).
 
-Simple-I/O discipline makes fusion sound: a consumed link leaves its
-blocks exactly as empty as never materializing them would, and the
-write-to-empty rule (checked by the optimized executor on every skipped
-link) guarantees no pre-existing payload is lost by the skip.
+Simple-I/O discipline makes a unit sound and its checks row-wide.  The
+first member consumes every record of ``p_in``, so ``p_in`` must hold
+no empty record; each member writes a whole target portion, which must
+be empty at that moment -- for ``p_in`` that is guaranteed by the
+consume, for every other target it is its state before the unit runs.
+Each intermediate portion is written whole and consumed whole, so it
+ends as empty as never materializing it would leave it.  Plans that
+are not made of whole-portion passes (hand-built test plans, dead-write
+plans outside simple I/O) run pass by pass through the fast engine.
 """
 
 from __future__ import annotations
@@ -57,8 +64,6 @@ from repro.pdm.engine import (
     _execute_strict,
     _finish_pass,
     _fuse_pass,
-    _portion_groups,
-    _require_write_targets_empty,
     _run_fused_pass,
     _stream_budget,
 )
@@ -89,46 +94,82 @@ class OptimizeReport:
 
 
 class _Group:
-    """One physical execution unit covering >= 1 original passes."""
+    """One physical execution unit covering >= 1 original passes.
 
-    __slots__ = ("members", "source_map", "write_keep")
-
-    def __init__(self, members, source_map=None, write_keep=None):
-        self.members = members          # list[_FusedPass], plan order
-        self.source_map = source_map    # fused chain: out <- first-stream slots
-        self.write_keep = write_keep    # dead-write record mask (singletons)
-
-
-def _reads_pipeable(f, simple_io: bool) -> bool:
-    """All of a pass's reads consume and keep their records (no discard)."""
-    return (
-        f.read_addr.size > 0
-        and bool(f.resolved_consume(simple_io).all())
-        and not bool(f.read_discard.any())
-    )
-
-
-def _link_map(g, fa, fb, simple_io: bool) -> np.ndarray | None:
-    """Slot map realizing ``fb``'s read stream from ``fa``'s read stream.
-
-    Exists when ``fb`` reads (consuming) exactly the records ``fa``
-    writes: then ``fb_stream = fa_stream[link]``, and the write/read
-    round trip through the portion array can be skipped.
+    A whole-portion unit carries ``pull``: its data movement is
+    ``data[p_out] = data[p_in][pull]``.  Any other group runs its
+    members pass by pass through the fast engine.
     """
-    if not fa.write_addr.size or fa.write_addr.size != fb.read_addr.size:
+
+    __slots__ = ("members", "write_keep", "pull", "p_in", "p_out", "targets")
+
+    def __init__(
+        self, members, write_keep=None, pull=None, p_in=None, p_out=None, targets=()
+    ):
+        self.members = members          # list[_FusedPass], plan order
+        self.write_keep = write_keep    # dead-write record mask (singletons)
+        self.pull = pull                # output address -> p_in address
+        self.p_in = p_in                # the portion the first member consumes
+        self.p_out = p_out              # the portion the last member writes
+        self.targets = targets          # member targets != p_in, once each
+
+
+def _row(portions: np.ndarray, addr: np.ndarray, N: int) -> int | None:
+    """The portion a record stream covers whole, else ``None``.
+
+    N records in one portion touch every address exactly once, because
+    ``_check_pass`` rejects a block written twice and a consumed block
+    read twice (callers only ask about consuming reads).
+    """
+    if addr.size != N or (portions != portions[0]).any():
         return None
-    if not _reads_pipeable(fb, simple_io):
+    return int(portions[0])
+
+
+def _rows(g, f, simple_io: bool) -> tuple[int, int] | None:
+    """``(read portion, write portion)`` when, under simple I/O, the pass
+    consumes one whole portion (discarding nothing) and writes another
+    whole, else ``None``."""
+    if (
+        not simple_io
+        or not f.resolved_consume(simple_io).all()
+        or f.read_discard.any()
+    ):
         return None
-    qa = fa.rec_write_portion * g.N + fa.write_addr
-    qb = fb.rec_read_portion * g.N + fb.read_addr
-    order = np.argsort(qa)
-    qa_sorted = qa[order]
-    pos = np.searchsorted(qa_sorted, qb)
-    if pos.size and int(pos.max()) >= qa_sorted.size:
-        return None
-    if not np.array_equal(qa_sorted[pos], qb):
-        return None
-    return fa.write_source[order[pos]]
+    src = _row(f.read_portions, f.read_addr, g.N)
+    dst = _row(f.write_portions, f.write_addr, g.N)
+    return None if src is None or dst is None else (src, dst)
+
+
+def _check_pull(grp: _Group, N: int) -> None:
+    """The pull index must map one portion into itself (``np.take`` runs
+    it unchecked, with ``mode="clip"``)."""
+    pull = grp.pull
+    if pull.shape != (N,) or int(pull.min()) < 0 or int(pull.max()) >= N:
+        raise PlanError(
+            f"unit ending at {grp.members[-1].label!r}: pull index does not "
+            "map the input portion onto the output portion"
+        )
+
+
+def _whole_portion_unit(g, members, rows) -> _Group:
+    """Compose the members' address maps into one pull index, O(N) each.
+
+    Member ``f`` leaves ``data[dst][f.write_addr] =
+    data[src][f.read_addr[f.write_source]]``; as a gather over whole
+    portions that is ``data[dst] = data[src][step]``, and a chain of
+    gathers composes as ``pull[step]``.
+    """
+    pull = None
+    for f in members:
+        step = np.empty(g.N, dtype=np.int64)
+        step[f.write_addr] = f.read_addr[f.write_source]
+        pull = step if pull is None else pull[step]
+    p_in = rows[0][0]
+    targets = tuple(dict.fromkeys(dst for _, dst in rows if dst != p_in))
+    grp = _Group(members, pull=pull, p_in=p_in, p_out=rows[-1][1], targets=targets)
+    _check_pull(grp, g.N)
+    return grp
 
 
 def _dead_write_masks(g, fused, simple_io: bool):
@@ -201,26 +242,26 @@ def optimize_plan(
     # absence, so no pass is ever both fused and masked.
     masks, eliminated = _dead_write_masks(g, fused, simple_io)
 
+    # A unit is a run of whole-portion passes, each consuming the
+    # portion its predecessor wrote.
+    rows = [_rows(g, f, simple_io) for f in fused]
     groups: list[_Group] = []
     links = 0
     i = 0
     while i < len(fused):
-        members = [fused[i]]
-        to_first: np.ndarray | None = None
-        if simple_io and _reads_pipeable(fused[i], simple_io):
-            while i + len(members) < len(fused):
-                link = _link_map(g, members[-1], fused[i + len(members)], simple_io)
-                if link is None:
-                    break
-                to_first = link if to_first is None else to_first[link]
-                members.append(fused[i + len(members)])
-        if len(members) > 1:
-            source_map = to_first[members[-1].write_source]
-            groups.append(_Group(members, source_map=source_map))
-            links += len(members) - 1
+        j = i + 1
+        if rows[i] is None:
+            groups.append(_Group(fused[i:j], write_keep=masks.get(i)))
         else:
-            groups.append(_Group(members, write_keep=masks.get(i)))
-        i += len(members)
+            while (
+                j < len(fused)
+                and rows[j] is not None
+                and rows[j][0] == rows[j - 1][1]
+            ):
+                j += 1
+            groups.append(_whole_portion_unit(g, fused[i:j], rows[i:j]))
+            links += j - i - 1
+        i = j
 
     report = OptimizeReport(
         passes=len(fused),
@@ -244,7 +285,9 @@ class OptimizedPlan:
     memory envelope.
     """
 
-    __slots__ = ("plan", "_fused", "groups", "report", "num_portions", "simple_io")
+    __slots__ = (
+        "plan", "_fused", "groups", "report", "num_portions", "simple_io",
+    )
 
     def __init__(self, plan, fused, groups, report, num_portions, simple_io):
         self.plan = plan
@@ -263,35 +306,22 @@ class OptimizedPlan:
         """Cheap equivalence certificate; raises :class:`PlanError` on any
         structural violation, returns a summary dict otherwise.
 
-        Checks: fused chains conserve record counts link by link, every
-        composed slot map indexes inside the first member's read stream,
+        Checks: every member of a whole-portion unit reads and writes N
+        records, every unit's pull index maps one portion into itself,
         dead-write masks only mask write records, and the pass list the
         optimized executor will report equals the original plan's.
         """
+        N = self.geometry.N
         total_passes = 0
         for grp in self.groups:
             total_passes += len(grp.members)
-            if grp.source_map is not None:
-                first, last = grp.members[0], grp.members[-1]
-                for fa, fb in zip(grp.members, grp.members[1:]):
-                    if fa.write_addr.size != fb.read_addr.size:
+            if grp.pull is not None:
+                for f in grp.members:
+                    if f.read_addr.size != N or f.write_addr.size != N:
                         raise PlanError(
-                            f"fused link {fa.label!r} -> {fb.label!r} does not "
-                            "conserve records"
+                            f"unit member {f.label!r} does not move a whole portion"
                         )
-                if grp.source_map.size != last.write_addr.size:
-                    raise PlanError(
-                        f"group ending at {last.label!r}: slot map does not "
-                        "cover the final writes"
-                    )
-                if grp.source_map.size and (
-                    int(grp.source_map.min()) < 0
-                    or int(grp.source_map.max()) >= first.stream_records
-                ):
-                    raise PlanError(
-                        f"group ending at {last.label!r}: slot map escapes the "
-                        "first pass's read stream"
-                    )
+                _check_pull(grp, N)
             if grp.write_keep is not None:
                 if grp.write_keep.shape != grp.members[0].write_addr.shape:
                     raise PlanError(
@@ -342,75 +372,63 @@ class OptimizedPlan:
         for f in self._fused:
             _check_pass(g, system.num_portions, system.simple_io, f)
         _, _, mems = _check_memory(
-            g, system.memory.capacity, system.memory.in_use, self._fused
+            system.memory.capacity, system.memory.in_use, self._fused
         )
-        # Groups cover self._fused in plan order; walk the per-execution
-        # memory list alongside them (it is never stored on the shared
-        # fused metadata -- concurrent executions each get their own).
-        mem_of = dict(zip(map(id, self._fused), mems))
         budget = _stream_budget(stream_records)
         report = ExecReport(engine="fast", optimized=True)
+        start = 0  # groups cover self._fused (and mems) in plan order
         for grp in self.groups:
-            first = grp.members[0]
-            checkpoint("pass", first.label)
-            if grp.source_map is not None and (
-                budget is None or first.stream_records <= budget
-            ):
-                peak = self._run_group(system, grp)
-                report.host_peak_records = max(report.host_peak_records, peak)
-                for f in grp.members:
-                    _finish_pass(system, f, mem_of[id(f)])
+            members = grp.members
+            group_mems = mems[start : start + len(members)]
+            start += len(members)
+            checkpoint("pass", members[0].label)
+            if grp.pull is not None and (budget is None or g.N <= budget):
+                _run_unit(system, grp)
+                report.host_peak_records = max(report.host_peak_records, g.N)
+                for f, mem in zip(members, group_mems):
+                    _finish_pass(system, f, mem)
                 continue
-            # A singleton, or a fused chain whose one whole read stream
+            # Not a whole-portion unit, or one whose N-record gather
             # would bust the stream budget (the budget wins): run the
-            # members unfused through the streaming path.
-            for f in grp.members:
+            # members one by one through the streaming path.
+            for f, mem in zip(members, group_mems):
                 _run_fused_pass(
-                    system, f, budget, report, mem_of[id(f)],
-                    write_keep=grp.write_keep,
+                    system, f, budget, report, mem, write_keep=grp.write_keep
                 )
         return report
 
-    def _run_group(self, system, grp) -> int:
-        """One fused chain: gather first reads, apply the composed slot
-        permutation, scatter last writes; enforce every simple-I/O check
-        the skipped link operations would have performed."""
-        g = system.geometry
-        data = system._data
-        first, last = grp.members[0], grp.members[-1]
-
-        stream = np.empty(first.stream_records, dtype=system.dtype)
-        for portion, idx in _portion_groups(first.read_portions, first.rec_read_portion):
-            if isinstance(idx, slice):
-                np.take(data[portion], first.read_addr, out=stream)
-            else:
-                stream[idx] = data[portion, first.read_addr[idx]]
-        empty = system._is_empty(stream)
-        if empty.any():
-            bad = np.unique(np.repeat(first.read_ids, g.B)[empty])
-            raise BlockStateError(
-                f"reading empty/partial blocks {list(bad)} under simple I/O"
-            )
-        for portion, idx in _portion_groups(first.read_portions, first.rec_read_portion):
-            if isinstance(idx, slice):
-                data[portion][first.read_addr] = system.empty
-            else:
-                data[portion, first.read_addr[idx]] = system.empty
-
-        # Skipped links: their write targets must have been empty (the
-        # write-to-empty rule); after the consume above, portion state
-        # matches what strict execution would show at each link's time.
-        for f in grp.members:
-            _require_write_targets_empty(
-                system, f.write_portions, f.rec_write_portion, f.write_addr
-            )
-        out = stream[grp.source_map]
-        for portion, idx in _portion_groups(last.write_portions, last.rec_write_portion):
-            if isinstance(idx, slice):
-                data[portion][last.write_addr] = out
-            else:
-                data[portion, last.write_addr[idx]] = out[idx]
-        return stream.size
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OptimizedPlan({self.report.summary()})"
+
+
+def _run_unit(system: ParallelDiskSystem, grp: _Group) -> None:
+    """Execute one whole-portion unit: row-wide simple-I/O checks, then
+    one gather of ``p_in`` into ``p_out``; ``p_in`` ends empty unless it
+    is ``p_out``.
+
+    Both checks run before anything moves, and name the same blocks the
+    per-pass fast path names: ``addr >> b`` of the offending records.
+    """
+    g = system.geometry
+    data = system._data
+    src = data[grp.p_in]
+    empty = system._is_empty(src)
+    if empty.any():
+        bad = np.unique(np.flatnonzero(empty) >> g.b)
+        raise BlockStateError(
+            f"reading empty/partial blocks {list(bad)} under simple I/O"
+        )
+    for portion in grp.targets:
+        empty = system._is_empty(data[portion])
+        if not empty.all():
+            bad = np.unique(np.flatnonzero(~empty) >> g.b)
+            raise BlockStateError(
+                f"writing to non-empty blocks under simple I/O: {list(bad)}"
+            )
+    # _check_pull bounded the index at compile time; "clip" skips the
+    # per-call range check and the output buffer "raise" would need.
+    if grp.p_out == grp.p_in:
+        data[grp.p_out] = np.take(src, grp.pull, mode="clip")
+    else:
+        np.take(src, grp.pull, out=data[grp.p_out], mode="clip")
+        src.fill(system.empty)

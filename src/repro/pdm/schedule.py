@@ -489,12 +489,18 @@ class IOPlan:
 
 
 class _PassAccumulator:
-    """Per-pass columnar accumulation state inside :class:`PlanBuilder`."""
+    """Per-pass columnar accumulation state inside :class:`PlanBuilder`.
+
+    Block ids and write sources accumulate as chunks that may span many
+    steps (:meth:`PlanBuilder.memoryload_rounds` adds a whole pass in
+    one chunk each); the per-step sizes say where the steps split.
+    """
 
     __slots__ = (
         "label", "kinds", "sizes",
-        "read_ids", "read_portions", "consume_default", "consume_value", "discard",
-        "write_ids", "write_portions", "write_sources",
+        "read_ids", "read_sizes", "read_portions",
+        "consume_default", "consume_value", "discard",
+        "write_ids", "write_sizes", "write_portions", "write_sources",
         "built",
     )
 
@@ -503,11 +509,13 @@ class _PassAccumulator:
         self.kinds: list[bool] = []
         self.sizes: list[int] = []
         self.read_ids: list[np.ndarray] = []
+        self.read_sizes: list[int] = []
         self.read_portions: list[int] = []
         self.consume_default: list[bool] = []
         self.consume_value: list[bool] = []
         self.discard: list[bool] = []
         self.write_ids: list[np.ndarray] = []
+        self.write_sizes: list[int] = []
         self.write_portions: list[int] = []
         self.write_sources: list[np.ndarray] = []
         self.built: PlanPass | None = None
@@ -523,9 +531,7 @@ class _PassAccumulator:
             c.read_ids = (
                 np.concatenate(self.read_ids) if self.read_ids else _EMPTY_I64
             )
-            c.read_sizes = np.asarray(
-                [ids.size for ids in self.read_ids], dtype=np.int64
-            )
+            c.read_sizes = np.asarray(self.read_sizes, dtype=np.int64)
             c.read_portions = np.asarray(self.read_portions, dtype=np.int64)
             c.read_consume_default = np.asarray(self.consume_default, dtype=bool)
             c.read_consume_value = np.asarray(self.consume_value, dtype=bool)
@@ -533,9 +539,7 @@ class _PassAccumulator:
             c.write_ids = (
                 np.concatenate(self.write_ids) if self.write_ids else _EMPTY_I64
             )
-            c.write_sizes = np.asarray(
-                [ids.size for ids in self.write_ids], dtype=np.int64
-            )
+            c.write_sizes = np.asarray(self.write_sizes, dtype=np.int64)
             c.write_portions = np.asarray(self.write_portions, dtype=np.int64)
             c.write_source = (
                 np.concatenate(self.write_sources) if self.write_sources else _EMPTY_I64
@@ -590,6 +594,7 @@ class PlanBuilder:
         acc.kinds.append(True)
         acc.sizes.append(ids.size)
         acc.read_ids.append(ids)
+        acc.read_sizes.append(ids.size)
         acc.read_portions.append(int(portion))
         acc.consume_default.append(consume is None)
         acc.consume_value.append(bool(consume))
@@ -627,6 +632,7 @@ class PlanBuilder:
         acc.kinds.append(False)
         acc.sizes.append(ids.size)
         acc.write_ids.append(ids)
+        acc.write_sizes.append(ids.size)
         acc.write_portions.append(int(portion))
         acc.write_sources.append(source)
         acc.built = None
@@ -664,6 +670,61 @@ class PlanBuilder:
         per = g.records_per_stripe
         for i, stripe in enumerate(g.memoryload_stripes(ml)):
             self.write_stripe(portion, stripe, source[i * per : (i + 1) * per])
+
+    def memoryload_rounds(
+        self,
+        portion: int,
+        write_portion: int,
+        write_ids: np.ndarray,
+        write_sources: np.ndarray,
+    ) -> None:
+        """Plan one round per memoryload of ``portion``, in memoryload
+        order: its ``M/BD`` striped reads, then its writes.
+
+        ``write_ids[ml, i]`` are the blocks of round ``ml``'s ``i``-th
+        parallel write to ``write_portion``, and ``write_sources[ml, i]``
+        the slots they take, counted from the round's first read slot
+        (so in ``[0, M)``).  The steps are those that
+        :meth:`read_memoryload` followed by :meth:`write` per round would
+        add, appended without a Python loop over the rounds.
+        """
+        acc = self._require_pass()
+        g = self.geometry
+        rounds = g.num_memoryloads
+        ids = np.asarray(write_ids, dtype=np.int64)
+        sources = np.asarray(write_sources, dtype=np.int64)
+        if ids.ndim != 3 or ids.shape[0] != rounds:
+            raise ValidationError(
+                f"memoryload rounds expect write ids of shape ({rounds}, k, w), "
+                f"got {ids.shape}"
+            )
+        _, k, width = ids.shape
+        if sources.shape != (rounds, k, width * g.B):
+            raise ValidationError(
+                f"memoryload rounds expect write sources of shape "
+                f"{(rounds, k, width * g.B)}, got {sources.shape}"
+            )
+        if sources.size and (sources.min() < 0 or sources.max() >= g.M):
+            raise ValidationError(
+                "write sources must lie in the round's read slots "
+                f"[0, {g.M}), got range [{sources.min()}, {sources.max()}]"
+            )
+        reads = g.stripes_per_memoryload
+        acc.kinds.extend(([True] * reads + [False] * k) * rounds)
+        acc.sizes.extend(([g.D] * reads + [width] * k) * rounds)
+        acc.read_ids.append(np.arange(g.num_blocks, dtype=np.int64))
+        acc.read_sizes.extend([g.D] * (reads * rounds))
+        acc.read_portions.extend([int(portion)] * (reads * rounds))
+        acc.consume_default.extend([True] * (reads * rounds))
+        acc.consume_value.extend([False] * (reads * rounds))
+        acc.discard.extend([False] * (reads * rounds))
+        acc.write_ids.append(ids.reshape(-1))
+        acc.write_sizes.extend([width] * (k * rounds))
+        acc.write_portions.extend([int(write_portion)] * (k * rounds))
+        first_slot = self._cursor + g.M * np.arange(rounds, dtype=np.int64)
+        acc.write_sources.append((sources + first_slot[:, None, None]).reshape(-1))
+        acc.built = None
+        self._cursor += g.N
 
     # ----------------------------------------------------------------- build
     def build(self) -> IOPlan:

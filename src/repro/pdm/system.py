@@ -110,7 +110,7 @@ class ParallelDiskSystem:
     # -------------------------------------------------------------- contents
     def fill_identity(self, portion: int = 0) -> None:
         """Load record payloads equal to their addresses (the canonical input)."""
-        self._data[portion] = np.arange(self.geometry.N).astype(self.dtype)
+        self._data[portion] = np.arange(self.geometry.N)  # cast on assignment
 
     def fill(self, portion: int, values: Sequence[int] | np.ndarray) -> None:
         values = np.asarray(values, dtype=self.dtype)

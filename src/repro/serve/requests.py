@@ -324,8 +324,9 @@ def _execute_request(
     )
     digest = None
     if request.capture_portion:
+        # hashlib reads the contiguous copy's buffer directly
         digest = hashlib.sha256(
-            system.portion_values(report.final_portion).tobytes()
+            system.portion_values(report.final_portion)
         ).hexdigest()
     return report, digest
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bits import linalg
 from repro.bits.matrix import BitMatrix
 from repro.errors import DimensionError, ValidationError
 
@@ -67,6 +68,21 @@ class TestImmutability:
         m = BitMatrix.identity(3)
         with pytest.raises(ValueError):
             m.to_array()[0, 0] = 0
+
+    def test_derived_matrices_readonly_and_valid(self):
+        """Products, slices, transposes and inverses skip revalidation;
+        each is still read-only and equal to a validated copy."""
+        a = BitMatrix.from_rows([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+        derived = [
+            a @ a, a ^ a.T, a.T, a[0:2, 1:3], a[[2, 0], :][:, [1]], a[1:],
+            a.with_entry(0, 0, 0), a.with_columns_swapped(0, 2),
+            linalg.inverse(a),
+        ]
+        for d in derived:
+            with pytest.raises(ValueError):
+                d.to_array()[0, 0] = 1
+            assert d == BitMatrix(d.to_array().copy())
+        assert linalg.inverse(a) @ a == BitMatrix.identity(3)
 
     def test_with_entry_returns_new(self):
         m = BitMatrix.zeros(2, 2)

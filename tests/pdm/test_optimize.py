@@ -1,19 +1,27 @@
 """Tests for the plan-level optimizer (:mod:`repro.pdm.optimize`)."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.bits.random import random_mld_matrix
 from repro.core.bmmc_algorithm import plan_bmmc_io, plan_bmmc_passes
 from repro.core.general import plan_general_sort
 from repro.core.mld_algorithm import plan_mld_pass
-from repro.errors import BlockStateError, PlanError
+from repro.errors import BlockStateError, MemoryCapacityError, PlanError
 from repro.pdm.engine import execute_plan
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.optimize import optimize_plan
 from repro.pdm.schedule import PlanBuilder
-from repro.pdm.system import ParallelDiskSystem
+from repro.pdm.system import EMPTY, ParallelDiskSystem
 from repro.perms.base import ExplicitPermutation
+from repro.perms.bmmc import BMMCPermutation
 from repro.perms.library import bit_reversal
+
+#: Bit reversal plans 2 passes here (portion 0 -> 1 -> 0), against 3
+#: (0 -> 1 -> 0 -> 1) on the ``geometry`` fixture.
+SMALL = DiskGeometry(N=2**10, B=2**3, D=2**2, M=2**7)
 
 
 @pytest.fixture
@@ -32,6 +40,28 @@ def multi_pass_plan(g):
     plan, final = plan_bmmc_io(g, steps)
     assert plan.num_passes >= 2, "need a ping-pong chain to exercise fusion"
     return plan, final
+
+
+def mld_plan(g):
+    perm = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, np.random.default_rng(0)))
+    return plan_mld_pass(g, perm)
+
+
+def unit_plans(g):
+    """``(geometry, plan)`` for each whole-portion unit shape: a 3-pass
+    chain into the other portion, one MLD pass, and a 2-pass chain back
+    into its input portion.  Each unit's first member writes portion 1."""
+    return [
+        (g, multi_pass_plan(g)[0]),
+        (g, mld_plan(g)),
+        (SMALL, multi_pass_plan(SMALL)[0]),
+    ]
+
+
+def named_blocks(err) -> list[int]:
+    """Block ids a :class:`BlockStateError` message lists, whether numpy
+    prints them as ``5`` or ``np.int64(5)``."""
+    return [int(x) for x in re.findall(r"\b\d+\b", str(err))]
 
 
 def overlap_plan(g):
@@ -69,15 +99,18 @@ class TestFusion:
         assert op.report.fused_links == plan.num_passes - 1
 
     def test_fused_execution_matches_strict(self, geometry):
-        g = geometry
-        plan, final = multi_pass_plan(g)
-        strict = fresh(g)
-        execute_plan(strict, plan, engine="strict")
-        fast = fresh(g)
-        report = optimize_plan(plan).execute(fast)
-        assert report.optimized
-        assert_equivalent(strict, fast)
-        assert fast.verify_permutation(bit_reversal(g.n), np.arange(g.N), final)
+        # 3 passes ending in the other portion; 2 passes ending in the
+        # portion they started from (the unit's p_in == p_out case)
+        for g, passes, final_portion in ((geometry, 3, 1), (SMALL, 2, 0)):
+            plan, final = multi_pass_plan(g)
+            assert (plan.num_passes, final) == (passes, final_portion)
+            strict = fresh(g)
+            execute_plan(strict, plan, engine="strict")
+            fast = fresh(g)
+            report = optimize_plan(plan).execute(fast)
+            assert report.optimized
+            assert_equivalent(strict, fast)
+            assert fast.verify_permutation(bit_reversal(g.n), np.arange(g.N), final)
 
     def test_host_peak_is_one_stream_not_per_pass(self, geometry):
         g = geometry
@@ -88,11 +121,7 @@ class TestFusion:
 
     def test_single_pass_plan_passes_through(self, geometry):
         g = geometry
-        from repro.bits.random import random_mld_matrix
-        from repro.perms.bmmc import BMMCPermutation
-
-        perm = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, np.random.default_rng(0)))
-        plan = plan_mld_pass(g, perm)
+        plan = mld_plan(g)
         op = optimize_plan(plan)
         assert op.report.fused_groups == 0
         strict = fresh(g)
@@ -128,19 +157,21 @@ class TestFusion:
         assert op.report.fused_groups == 0
 
     def test_simple_io_fault_preserved(self, geometry):
-        """A fused link writing to occupied blocks must still fault."""
-        g = geometry
-        plan, _ = multi_pass_plan(g)
-        s = fresh(g)
-        # occupy one of the first link's target blocks (portion 1)
-        s._data[1, 0] = 42
-        op = optimize_plan(plan)
-        with pytest.raises(BlockStateError):
-            op.execute(s)
-        strict = fresh(g)
-        strict._data[1, 0] = 42
-        with pytest.raises(BlockStateError):
-            execute_plan(strict, plan, engine="strict")
+        """A unit writing to occupied blocks must still fault, naming
+        exactly the occupied block, as the per-pass fast path does."""
+        planted = 5
+        for g, plan in unit_plans(geometry):
+            # occupy one record of the first member's target (portion 1)
+            for optimize in (True, False):
+                s = fresh(g)
+                s._data[1, planted * g.B + 1] = 42
+                with pytest.raises(BlockStateError) as err:
+                    execute_plan(s, plan, engine="fast", optimize=optimize)
+                assert named_blocks(err.value) == [planted], optimize
+            strict = fresh(g)
+            strict._data[1, planted * g.B + 1] = 42
+            with pytest.raises(BlockStateError):
+                execute_plan(strict, plan, engine="strict")
 
     def test_reading_empty_block_faults(self, geometry):
         g = geometry
@@ -148,6 +179,38 @@ class TestFusion:
         s = ParallelDiskSystem(g)  # portion 0 empty
         with pytest.raises(BlockStateError):
             optimize_plan(plan).execute(s)
+        # one empty record: the unit names exactly its block, as strict
+        # replay does
+        planted = 5
+        for g, plan in unit_plans(geometry):
+            op = optimize_plan(plan)
+            for engine in ("fast", "strict"):
+                s = fresh(g)
+                s._data[0, planted * g.B + 1] = EMPTY
+                with pytest.raises(BlockStateError) as err:
+                    op.execute(s, engine=engine)
+                assert named_blocks(err.value) == [planted], engine
+
+    def test_partial_portion_chain_runs_pass_by_pass(self, geometry):
+        """A chain that moves one memoryload, not a whole portion, is no
+        whole-portion unit: it runs member by member, like strict."""
+        g = geometry
+        b = PlanBuilder(g)
+        b.begin_pass("a")
+        slots = b.read_memoryload(0, 0)
+        b.write_memoryload(1, 0, slots[::-1])
+        b.begin_pass("b")
+        slots = b.read_memoryload(1, 0)
+        b.write_memoryload(0, 0, np.roll(slots, 3))
+        plan = b.build()
+        op = optimize_plan(plan)
+        assert op.report.fused_groups == 0
+        assert op.report.physical_passes == 2
+        strict = fresh(g)
+        execute_plan(strict, plan, engine="strict")
+        fast = fresh(g)
+        assert op.execute(fast).optimized
+        assert_equivalent(strict, fast)
 
 
 class TestDeadWriteElimination:
@@ -233,10 +296,52 @@ class TestArtifact:
     def test_verify_catches_corruption(self, geometry):
         plan, _ = multi_pass_plan(geometry)
         op = optimize_plan(plan)
-        group = next(grp for grp in op.groups if grp.source_map is not None)
-        group.source_map = group.source_map[:-1]  # corrupt
+        group = next(grp for grp in op.groups if grp.pull is not None)
+        pull = group.pull
+        group.pull = pull[:-1]  # corrupt
         with pytest.raises(PlanError):
             op.verify()
+        group.pull = pull.copy()
+        group.pull[0] = geometry.N  # escapes the portion
+        with pytest.raises(PlanError):
+            op.verify()
+
+    def test_capacity_checked_on_every_execution(self, geometry):
+        """Each execution checks memory from the records resident at its
+        start: every over-capacity execution raises, a fitting one after
+        them still matches strict, and a pre-loaded system that fits
+        reports the strict engine's peak."""
+        g = geometry
+        b = PlanBuilder(g)
+        b.begin_pass("copy")
+        slots = b.read(0, [0], consume=False)
+        b.write(1, [1], slots)
+        copy = b.build()
+        peaks = set()
+        for run in (
+            lambda s: execute_plan(s, copy, engine="strict"),
+            lambda s: execute_plan(s, copy, engine="fast"),
+            lambda s: optimize_plan(copy, simple_io=False).execute(s),
+        ):
+            s = fresh(g, simple_io=False)
+            s.memory.allocate(g.M - 2 * g.B)
+            run(s)
+            peaks.add((s.memory.peak, s.memory.in_use))
+        assert peaks == {(g.M - g.B, g.M - 2 * g.B)}
+
+        plan, _ = multi_pass_plan(g)
+        op = optimize_plan(plan)
+        op.execute(fresh(g))
+        for _ in range(3):
+            s = fresh(g)
+            s.memory.allocate(g.M - g.B)  # pre-loaded near M
+            with pytest.raises(MemoryCapacityError):
+                op.execute(s)
+        strict = fresh(g)
+        execute_plan(strict, plan, engine="strict")
+        fast = fresh(g)
+        op.execute(fast)
+        assert_equivalent(strict, fast)
 
     def test_system_shape_mismatch_falls_back(self, geometry):
         """Compiled for simple I/O, run without it: plain fast fallback."""

@@ -78,6 +78,49 @@ class TestPlanBuilder:
         with pytest.raises(ValidationError):
             b.write_memoryload(1, 0, slots[:-1])
 
+    def test_memoryload_rounds_match_per_round_calls(self, geometry):
+        """One ``memoryload_rounds`` call builds the same columns as
+        ``read_memoryload`` then ``write`` per round, after an earlier
+        read in the same pass too."""
+        g = geometry
+        rng = np.random.default_rng(7)
+        rounds, k = g.num_memoryloads, g.stripes_per_memoryload
+        ids = rng.integers(0, g.num_blocks, size=(rounds, k, g.D))
+        sources = np.stack(
+            [rng.permutation(g.M).reshape(k, g.D * g.B) for _ in range(rounds)]
+        )
+        looped, bulk = PlanBuilder(g), PlanBuilder(g)
+        for b in (looped, bulk):
+            b.begin_pass("p")
+            b.read(2, [5])
+        for ml in range(rounds):
+            first = looped.read_memoryload(0, ml)[0]
+            for i in range(k):
+                looped.write(1, ids[ml, i], first + sources[ml, i])
+        bulk.memoryload_rounds(0, 1, ids, sources)
+        a = looped.build().passes[0].columns_if_fresh()
+        c = bulk.build().passes[0].columns_if_fresh()
+        for name in a.__slots__:
+            x, y = getattr(a, name), getattr(c, name)
+            assert np.array_equal(x, y), name
+            assert np.asarray(x).dtype == np.asarray(y).dtype, name
+
+    def test_memoryload_rounds_shapes_checked(self, geometry):
+        g = geometry
+        rounds, k = g.num_memoryloads, g.stripes_per_memoryload
+        ids = np.zeros((rounds, k, g.D), dtype=np.int64)
+        sources = np.zeros((rounds, k, g.D * g.B), dtype=np.int64)
+        b = PlanBuilder(g)
+        b.begin_pass("p")
+        for bad_ids, bad_sources in (
+            (ids[1:], sources[1:]),  # one round short
+            (ids, sources[:, :, 1:]),  # a record short per write
+            (ids, sources + g.M),  # slots past the round's reads
+            (ids, sources - 1),  # negative slots
+        ):
+            with pytest.raises(ValidationError):
+                b.memoryload_rounds(0, 1, bad_ids, bad_sources)
+
 
 class TestIOPlan:
     def _one_pass_plan(self, g, label="p"):

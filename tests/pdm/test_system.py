@@ -24,6 +24,13 @@ def system():
 class TestFill:
     def test_identity(self, system):
         assert (system.portion_values(0) == np.arange(1024)).all()
+        # a numeric payload system: the addresses cast to its dtype
+        c = ParallelDiskSystem(system.geometry, dtype=np.complex128, empty=np.nan)
+        c.fill_identity(0)
+        values = c.portion_values(0)
+        assert values.dtype == np.complex128
+        assert (values == np.arange(1024)).all()
+        assert np.isnan(c.portion_values(1)).all()
 
     def test_other_portion_empty(self, system):
         assert (system.portion_values(1) == EMPTY).all()
