@@ -441,16 +441,18 @@ def cached_execute(
     When the calling thread carries an ambient timing trace
     (:func:`~repro.pdm.cancel.current_trace` -- the service installs
     one per request), the plan/compile/execute stage costs are recorded
-    on it, so every result can report where its wall time went.
+    on it, a stage that raises included, so every result -- a failed
+    one too -- can report where its wall time went.
     """
     trace = current_trace()
 
     def timed(stage: str, fn: Callable, *args, **kwargs):
         started = time.perf_counter()
-        result = fn(*args, **kwargs)
-        if trace is not None:
-            trace.record(stage, time.perf_counter() - started)
-        return result
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if trace is not None:
+                trace.record(stage, time.perf_counter() - started)
 
     if cache is None:
         plan, meta = timed("plan", build)

@@ -50,6 +50,25 @@ else 500.  Subclass order matters twice: ``ServiceClosedError`` *is a*
 ``ValidationError`` but means "stop sending traffic here", and
 ``DeadlineExceeded`` *is a* ``RequestCancelled`` but deserves 504.
 
+Transport: every connection is HTTP/1.1 keep-alive with ``TCP_NODELAY``
+set on the accepted socket.  ``BaseHTTPRequestHandler`` buffers the
+status line and headers into one send and the body goes out in a
+second; with Nagle's algorithm on, that second send waits for the
+client's delayed ACK (about 40 ms) on every keep-alive answer.  Every
+JSON body is encoded by one function, ``_encode_json``: compact
+separators and sorted keys, so the C encoder does the work
+(``indent`` forces the pure-Python one).
+
+The result backlog: each submitted request's future is tracked under
+its ``request_id``.  When it resolves, a done-callback replaces the
+future with the request's encoded answer (status plus body bytes),
+built once; the sync answer, every poll and every idempotent repeat
+send those same bytes.  Nothing else of a resolved request -- its
+result, report, request, trace or future -- stays in the frontend.
+The backlog keeps the last :attr:`HttpFrontend.RESULT_BACKLOG`
+resolved answers; the oldest resolved entry is evicted first (pending
+entries never are), and an idempotency key dies with its entry.
+
 Shutdown (the graceful-drain contract): :meth:`HttpFrontend.close`
 first stops the accept loop and closes the listener socket -- new
 connections are refused cleanly, none are accepted-then-reset -- then
@@ -67,7 +86,9 @@ import time
 from collections import OrderedDict
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import asdict
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
 from repro.errors import (
     CircuitOpenError,
@@ -162,12 +183,37 @@ def result_to_dict(result) -> dict:
     return payload
 
 
+def _encode_json(payload: dict) -> bytes:
+    """The wire form of every JSON response body."""
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode() + b"\n"
+
+
+class _Answer(NamedTuple):
+    """A resolved request's answer as the backlog keeps it."""
+
+    status: int
+    body: bytes
+
+
+def _encode_result(result) -> _Answer:
+    payload = result_to_dict(result)
+    return _Answer(payload["status"], _encode_json(payload))
+
+
+def _resolved(entry) -> bool:
+    """Whether a backlog entry (a future or an :class:`_Answer`) is done."""
+    return isinstance(entry, _Answer) or entry.done()
+
+
 class _Handler(BaseHTTPRequestHandler):
     """One HTTP exchange.  All routing happens in :meth:`_dispatch`;
     the do_* methods only name the verb."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    #: ``StreamRequestHandler.setup`` sets ``TCP_NODELAY`` on the socket:
+    #: the header and body sends must not wait for the peer's ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------ plumbing
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -177,18 +223,7 @@ class _Handler(BaseHTTPRequestHandler):
     def frontend(self) -> "HttpFrontend":
         return self.server.frontend
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n"
-        self._status = status
-        self._account(status)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
         self._status = status
         self._account(status)
         self.send_response(status)
@@ -196,6 +231,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, status: int, payload: dict) -> None:
+        self._send(status, _encode_json(payload), "application/json")
+
+    def _send_answer(self, answer: _Answer) -> None:
+        self._send(answer.status, answer.body, "application/json")
+
+    def _send_text(self, status: int, text: str, content_type: str) -> None:
+        self._send(status, text.encode(), content_type)
 
     def _send_error_json(self, error: BaseException, status=None) -> None:
         status = status_for(error) if status is None else status
@@ -425,28 +469,28 @@ class _Handler(BaseHTTPRequestHandler):
         idem_key = self._coerce_idempotency_key(body_key, header_key)
         request = request_from_dict(spec)
         if idem_key is not None:
-            future, request_id = fe.submit_idempotent(idem_key, request)
+            request_id, entry = fe.submit_idempotent(idem_key, request)
         else:
-            future = fe.service.submit(request)  # may raise ServiceClosedError
-            request_id = future.request_id
-            fe.track(request_id, future)
+            entry = fe.service.submit(request)  # may raise ServiceClosedError
+            request_id = entry.request_id
+            fe.track(request_id, entry)
         if mode == "async":
             self._send_json(202, fe.pending_payload(request_id))
             return
-        try:
-            result = future.result(timeout=wait_timeout)
-        except (_FutureTimeout, TimeoutError):
-            # Degrade to polling; the request keeps its place in line.
-            self._send_json(202, fe.pending_payload(request_id))
-            return
-        payload = result_to_dict(result)
-        self._send_json(payload["status"], payload)
+        if not isinstance(entry, _Answer):
+            try:
+                entry.result(timeout=wait_timeout)
+            except (_FutureTimeout, TimeoutError):
+                # Degrade to polling; the request keeps its place in line.
+                self._send_json(202, fe.pending_payload(request_id))
+                return
+        self._send_answer(fe.answer(request_id, entry))
 
     def _get_poll(self) -> None:
         fe = self.frontend
         request_id = self.path.split("?", 1)[0].rstrip("/").rsplit("/", 1)[-1]
-        future = fe.lookup(request_id)
-        if future is None:
+        entry = fe.lookup(request_id)
+        if entry is None:
             self._send_json(
                 404,
                 {
@@ -458,11 +502,10 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
             return
-        if not future.done():
+        if not _resolved(entry):
             self._send_json(202, fe.pending_payload(request_id))
             return
-        payload = result_to_dict(future.result())
-        self._send_json(payload["status"], payload)
+        self._send_answer(fe.answer(request_id, entry))
 
 
 class _Server(ThreadingHTTPServer):
@@ -518,19 +561,18 @@ class _IdemEntry:
     """One idempotency-key reservation.
 
     ``canonical`` is the normalized request identity the key is bound
-    to; ``ready`` latches once the first submit settled (``request_id``
-    + ``future`` on success, ``error`` on a submit-time failure, which
-    also releases the key so a later retry can try again).
+    to.  The first submit settles the entry: ``request_id`` on success,
+    ``error`` on a submit-time failure, which also releases the key so
+    a later retry can try again.  Repeats wait on
+    :attr:`HttpFrontend._settled` and find the answer by ``request_id``.
     """
 
-    __slots__ = ("canonical", "request_id", "future", "error", "ready")
+    __slots__ = ("canonical", "request_id", "error")
 
     def __init__(self, canonical: str) -> None:
         self.canonical = canonical
         self.request_id: str | None = None
-        self.future = None
         self.error: BaseException | None = None
-        self.ready = threading.Event()
 
 
 class HttpFrontend:
@@ -543,8 +585,8 @@ class HttpFrontend:
     CLI does).
     """
 
-    #: Completed-request results kept for polling before the oldest
-    #: resolved entries are dropped.
+    #: Resolved answers kept for polling and idempotent repeats before
+    #: the oldest are dropped.
     RESULT_BACKLOG = 4096
 
     ROUTES = {
@@ -577,7 +619,10 @@ class HttpFrontend:
         self._server: _Server | None = None
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
-        self._futures: OrderedDict[str, object] = OrderedDict()
+        #: Notified whenever an idempotency entry settles.
+        self._settled = threading.Condition(self._lock)
+        #: request_id -> its future while pending, its _Answer once resolved.
+        self._backlog: OrderedDict[str, object] = OrderedDict()
         self._idempotency: dict[str, _IdemEntry] = {}
         self._idem_by_rid: dict[str, str] = {}
         self._closed = False
@@ -639,85 +684,120 @@ class HttpFrontend:
         self.close()
 
     # ------------------------------------------------------- request registry
-    def track(self, request_id: str, future) -> None:
+    def track(self, request_id: str, future, idem_key: str | None = None) -> None:
+        """Put a submitted request in the result backlog (and bind
+        ``idem_key``, already reserved, to it).  The future's done-callback
+        replaces it with its encoded answer."""
         with self._lock:
-            self._futures[request_id] = future
-            while len(self._futures) > self.RESULT_BACKLOG:
+            if idem_key is not None:
+                self._idempotency[idem_key].request_id = request_id
+                self._idem_by_rid[request_id] = idem_key
+                self._settled.notify_all()
+            self._backlog[request_id] = future
+            while len(self._backlog) > self.RESULT_BACKLOG:
                 # Evict the oldest *resolved* entry; never forget live
                 # work.  An idempotency key lives exactly as long as
                 # its tracked result: once the resolved entry ages out
                 # of the backlog, the key is forgotten with it.
-                for key, pending in self._futures.items():
-                    if pending.done():
-                        del self._futures[key]
-                        idem_key = self._idem_by_rid.pop(key, None)
-                        if idem_key is not None:
-                            self._idempotency.pop(idem_key, None)
+                for rid, entry in self._backlog.items():
+                    if _resolved(entry):
+                        del self._backlog[rid]
+                        evicted_key = self._idem_by_rid.pop(rid, None)
+                        if evicted_key is not None:
+                            self._idempotency.pop(evicted_key, None)
                         break
                 else:
                     break
+        future.add_done_callback(partial(self.answer, request_id))
 
-    def submit_idempotent(self, key: str, request) -> tuple:
+    def submit_idempotent(self, key: str, request) -> tuple[str, object]:
         """Submit under an idempotency key: first caller executes,
-        repeats map to the same ``(future, request_id)``.
+        repeats map to the same ``request_id``.
 
-        The key is bound to the request's canonical serialized form, so
-        a retry with the *same* request (however spelled) coalesces
-        onto the original submission while reuse with a *different*
-        request is a :class:`~repro.errors.ValidationError` (400).  A
-        submit-time failure (e.g. closed service) releases the key --
-        the retry that follows a 503 must be able to try again.
+        Returns ``(request_id, entry)``, where ``entry`` is the request's
+        backlog entry: its future while pending, its stored answer once
+        resolved.  The key is bound to the request's canonical
+        serialized form, so a retry with the *same* request (however
+        spelled) coalesces onto the original submission while reuse
+        with a *different* request is a
+        :class:`~repro.errors.ValidationError` (400).  A submit-time
+        failure (e.g. closed service) releases the key -- the retry
+        that follows a 503 must be able to try again.
         """
         from repro.errors import TransientError
 
         canonical = json.dumps(request_to_dict(request), sort_keys=True)
         with self._lock:
-            entry = self._idempotency.get(key)
-            if entry is None:
-                entry = self._idempotency[key] = _IdemEntry(canonical)
-                leader = True
-            else:
+            while True:
+                entry = self._idempotency.get(key)
+                if entry is None:
+                    entry = self._idempotency[key] = _IdemEntry(canonical)
+                    break
                 if entry.canonical != canonical:
                     raise ValidationError(
                         f"idempotency key {key!r} was already used for a "
                         "different request"
                     )
-                leader = False
-        if leader:
-            try:
-                future = self.service.submit(request)
-            except BaseException as exc:
-                entry.error = exc
-                entry.ready.set()
-                with self._lock:
-                    if self._idempotency.get(key) is entry:
-                        del self._idempotency[key]
-                raise
-            entry.request_id = future.request_id
-            entry.future = future
-            entry.ready.set()
+                settled = self._settled.wait_for(
+                    lambda: entry.request_id is not None or entry.error is not None,
+                    timeout=30.0,
+                )
+                if not settled:  # pragma: no cover - submit hung
+                    raise TransientError(
+                        f"idempotent submission for key {key!r} is still "
+                        "settling; retry"
+                    )
+                if entry.error is not None:
+                    raise entry.error
+                found = self._backlog.get(entry.request_id)
+                if found is not None:
+                    return entry.request_id, found
+                # The key aged out with its answer while this repeat
+                # waited: the repeat is a fresh submission now.
+        try:
+            future = self.service.submit(request)
+        except BaseException as exc:
             with self._lock:
-                self._idem_by_rid[future.request_id] = key
-            self.track(future.request_id, future)
-            return future, future.request_id
-        if not entry.ready.wait(timeout=30.0):  # pragma: no cover - submit hung
-            raise TransientError(
-                f"idempotent submission for key {key!r} is still settling; "
-                "retry"
-            )
-        if entry.error is not None:
-            raise entry.error
-        return entry.future, entry.request_id
+                entry.error = exc
+                if self._idempotency.get(key) is entry:
+                    del self._idempotency[key]
+                self._settled.notify_all()
+            raise
+        self.track(future.request_id, future, idem_key=key)
+        return future.request_id, future
 
     def lookup(self, request_id: str):
+        """The backlog entry of ``request_id``: its future while pending,
+        its stored answer once resolved, ``None`` when unknown."""
         with self._lock:
-            return self._futures.get(request_id)
+            return self._backlog.get(request_id)
+
+    def answer(self, request_id: str, entry) -> _Answer:
+        """The encoded answer of a resolved backlog ``entry``.
+
+        A resolved future is encoded once and its answer stored in its
+        place; this runs as the future's done-callback, and a handler
+        that finds the future resolved before its callback ran does the
+        same.  A future already evicted is still encoded for the caller
+        that holds it.
+        """
+        if isinstance(entry, _Answer):
+            return entry
+        with self._lock:
+            stored = self._backlog.get(request_id)
+        if isinstance(stored, _Answer):
+            return stored
+        answer = _encode_result(entry.result())
+        with self._lock:
+            if self._backlog.get(request_id) is entry:
+                self._backlog[request_id] = answer
+        return answer
 
     def pending_payload(self, request_id: str) -> dict:
-        future = self.lookup(request_id)
+        entry = self.lookup(request_id)
         return {
             "request_id": request_id,
-            "status": "done" if future is not None and future.done() else "pending",
+            "status": "done" if entry is not None and _resolved(entry) else "pending",
             "href": f"/permutations/{request_id}",
         }
 

@@ -15,6 +15,7 @@ import pytest
 from repro.errors import RequestRejected, ServiceClosedError, ValidationError
 from repro.pdm.geometry import DiskGeometry
 from repro.serve import FaultPlan, PermutationRequest, PermutationService, synthetic_mix
+from tests.serve.test_coalesce import _await
 
 GEOMETRY = DiskGeometry(N=2**10, B=2**3, D=2**2, M=2**7)
 
@@ -192,7 +193,7 @@ class TestCloseSemantics:
         slow = FaultPlan(seed=7, slow_passes=1.0, slow_seconds=0.2)
         service = PermutationService(GEOMETRY, workers=1, faults=slow)
         futures = [service.submit(_request(i)) for i in range(6)]
-        time.sleep(0.05)  # let the worker pick up the first request
+        _await(lambda: service.stats().running == 1)
         t0 = time.perf_counter()
         service.close(drain_timeout=0.0)
         elapsed = time.perf_counter() - t0

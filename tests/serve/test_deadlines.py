@@ -24,6 +24,7 @@ from repro.serve import (
     PermutationService,
     run_sequential,
 )
+from tests.serve.test_coalesce import _await
 
 GEOMETRY = DiskGeometry(N=2**10, B=2**3, D=2**2, M=2**7)
 
@@ -248,7 +249,8 @@ class TestLatchWaitCancellation:
         request = PermutationRequest(perm="bit-reversal", method="bmmc")
         with PermutationService(GEOMETRY, workers=2, faults=faults) as service:
             builder_fut = service.submit(request)
-            time.sleep(0.03)  # let the builder enter its stalled compile
+            # the builder holds the key's latch through its stalled compile
+            _await(lambda: any(s.inflight for s in service.cache._shards))
             waiter_fut = service.submit(
                 PermutationRequest(
                     perm="bit-reversal", method="bmmc", timeout=0.05

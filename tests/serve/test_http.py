@@ -7,15 +7,19 @@ code with a structured JSON error body, sync and async submission both
 work, and shutdown drains without connection resets.
 """
 
+import gc
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
+from concurrent.futures import Future
 
 import pytest
 
-from repro.errors import ServiceClosedError
 from repro.pdm.geometry import DiskGeometry
 from repro.serve import (
     CircuitBreaker,
@@ -23,7 +27,9 @@ from repro.serve import (
     HttpFrontend,
     PermutationService,
     ServiceMetrics,
+    parse_prometheus_text,
 )
+from repro.serve.http import result_to_dict
 from repro.serve.loadgen import http_json, http_text, reconcile
 from tests.serve.test_coalesce import _await, _GateCache
 
@@ -71,6 +77,15 @@ def poll_result(url, request_id, timeout=10.0):
             return status, body
         time.sleep(0.005)
     pytest.fail(f"request {request_id} never resolved")
+
+
+def stored_answer(fe, request_id):
+    """A resolved request's backlog entry, which must be its encoded
+    answer: returns ``(status, decoded body)``."""
+    entry = fe.lookup(request_id)
+    assert not isinstance(entry, Future)
+    assert isinstance(entry.body, bytes)
+    return entry.status, json.loads(entry.body)
 
 
 # --------------------------------------------------------------------------
@@ -473,10 +488,11 @@ class TestShutdown:
         )
         rid = queued["request_id"]
         fe.close(drain_timeout=0.0)
-        # The listener is gone; the stranded future resolved typed.
-        result = fe.lookup(rid).result(timeout=5)
-        assert isinstance(result.error, ServiceClosedError)
-        assert result.request_id == rid
+        # The listener is gone; the stranded request resolved typed.
+        status, body = stored_answer(fe, rid)
+        assert status == 503
+        assert body["error"]["type"] == "ServiceClosedError"
+        assert body["request_id"] == rid
         stats = fe.service.stats()
         assert stats.cancelled >= 1
         assert stats.admitted + stats.shed == stats.submitted
@@ -520,8 +536,10 @@ class TestShutdown:
         monkeypatch.setattr(service_module, "time", Clock())
         fe.close(drain_timeout=0.0)
         assert cache.compiles == 1, "a queued request started after close()"
-        result = fe.lookup(queued["request_id"]).result(timeout=5)
-        assert isinstance(result.error, ServiceClosedError)
+        status, body = stored_answer(fe, queued["request_id"])
+        assert status == 503
+        assert body["error"]["type"] == "ServiceClosedError"
+        assert body["request_id"] == queued["request_id"]
 
     def test_stats_reconcile_after_hard_close(self, geometry):
         metrics = ServiceMetrics()
@@ -794,3 +812,147 @@ class TestIdempotencyKeys:
         assert stats["coalesced_in_flight"] == 0
         problems = reconcile(stats, page)
         assert not problems, problems
+
+
+# --------------------------------------------------------------------------
+# keep-alive transport and the result backlog
+# --------------------------------------------------------------------------
+
+def _exchange(conn, method, path, payload=None, headers=None):
+    """One request on an open keep-alive connection: (status, raw body)."""
+    body = None if payload is None else json.dumps(payload).encode()
+    conn.request(method, path, body=body, headers=headers or {})
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestTransport:
+    def test_accepted_socket_sets_tcp_nodelay(self, geometry):
+        seen = []
+        healthz = HttpFrontend.ROUTES["/healthz"]["GET"]
+
+        def probe(handler):
+            seen.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+            healthz(handler)
+
+        with make_frontend(geometry, workers=1) as fe:
+            fe.ROUTES = {**HttpFrontend.ROUTES, "/healthz": {"GET": probe}}
+            status, _ = http_json("GET", fe.url, "/healthz")
+        assert status == 200
+        assert len(seen) == 1 and seen[0] != 0
+
+    def test_one_connection_serves_posts_and_scrapes(self, geometry):
+        perms = ["gray", "bit-reversal", "transpose", "shuffle"]
+        with make_frontend(geometry, workers=2) as fe:
+            conn = http.client.HTTPConnection(fe.host, fe.port, timeout=10)
+            try:
+                answers, sockets = [], []
+                for i in range(22):
+                    if i in (10, 21):
+                        answers.append(_exchange(conn, "GET", "/metrics"))
+                    else:
+                        answers.append(_exchange(
+                            conn, "POST", "/permutations",
+                            {"perm": perms[i % len(perms)]},
+                        ))
+                    sockets.append(conn.sock)
+            finally:
+                conn.close()
+        assert all(sock is sockets[0] for sock in sockets), "connection reopened"
+        assert all(status == 200 for status, _ in answers)
+        posts = [json.loads(raw) for i, (_, raw) in enumerate(answers)
+                 if i not in (10, 21)]
+        assert len(posts) == 20
+        assert all(body["ok"] and body["report"]["verified"] for body in posts)
+        for i in (10, 21):
+            samples = parse_prometheus_text(answers[i][1].decode())
+            assert "repro_requests_submitted_total" in samples
+
+    def test_bodies_are_compact_json(self, geometry):
+        with make_frontend(geometry, workers=1) as fe:
+            conn = http.client.HTTPConnection(fe.host, fe.port, timeout=10)
+            try:
+                for method, path, payload in (
+                    ("POST", "/permutations", dict(TRANSPOSE)),
+                    ("GET", "/stats", None),
+                    ("GET", "/no/such/route", None),
+                ):
+                    _, raw = _exchange(conn, method, path, payload)
+                    parsed = json.loads(raw)
+                    assert raw == json.dumps(
+                        parsed, separators=(",", ":"), sort_keys=True
+                    ).encode() + b"\n"
+            finally:
+                conn.close()
+
+
+class TestResultBacklog:
+    def test_sync_poll_and_repeat_send_the_same_bytes(self, geometry, monkeypatch):
+        with make_frontend(geometry, workers=1) as fe:
+            futures = []
+            submit = fe.service.submit
+
+            def capture(request):
+                futures.append(submit(request))
+                return futures[-1]
+
+            monkeypatch.setattr(fe.service, "submit", capture)
+            conn = http.client.HTTPConnection(fe.host, fe.port, timeout=10)
+            key = {"Idempotency-Key": "same-bytes"}
+            try:
+                status, sync = _exchange(
+                    conn, "POST", "/permutations", dict(TRANSPOSE), key
+                )
+                rid = json.loads(sync)["request_id"]
+                polled = _exchange(conn, "GET", f"/permutations/{rid}")
+                repeat = _exchange(
+                    conn, "POST", "/permutations", dict(TRANSPOSE), key
+                )
+            finally:
+                conn.close()
+        assert status == 200
+        assert polled == repeat == (200, sync)
+        (future,) = futures  # the repeat never reached the service
+        assert json.loads(sync) == result_to_dict(future.result())
+
+    @pytest.mark.parametrize("key", [None, "slim"], ids=["plain", "keyed"])
+    def test_resolved_entry_keeps_only_encoded_bytes(
+        self, geometry, monkeypatch, key
+    ):
+        refs = []
+        with make_frontend(geometry, workers=1) as fe:
+            submit = fe.service.submit
+
+            def capture(request):
+                future = submit(request)
+                refs.append(weakref.ref(future))
+                future.add_done_callback(
+                    lambda f: refs.append(weakref.ref(f.result()))
+                )
+                return future
+
+            monkeypatch.setattr(fe.service, "submit", capture)
+            headers = {} if key is None else {"Idempotency-Key": key}
+            _, body = http_json(
+                "POST", fe.url, "/permutations", dict(TRANSPOSE),
+                headers=headers,
+            )
+            rid = body["request_id"]
+            assert stored_answer(fe, rid) == (200, body)
+            if key is not None:
+                entry = fe._idempotency[key]
+                assert entry.request_id == rid
+                assert not any(
+                    isinstance(getattr(entry, name), Future)
+                    for name in entry.__slots__
+                )
+        # With the pool joined, nothing but the frontend could still
+        # hold the request's future or result, and it holds neither.
+        gc.collect()
+        assert len(refs) == 2
+        assert all(ref() is None for ref in refs)
+        assert stored_answer(fe, rid) == (200, body)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.errors import ValidationError
+from repro.errors import NotInClassError, ValidationError
 from repro.pdm.cache import PlanCache, ShardedPlanCache, compile_plan
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import PlanBuilder
@@ -213,6 +213,17 @@ class TestPermutationService:
         assert "plan" in result.timings and "execute" in result.timings
         # no cache, so no compiled entry and no audit
         assert "compile" not in result.timings
+
+    def test_failed_plan_still_records_its_stage(self):
+        """A request whose planner raises reports the time it spent in
+        ``plan``, not only its queue wait."""
+        geometry = DiskGeometry(N=2**14, B=2**3, D=2**2, M=2**7)
+        request = PermutationRequest(perm="random-bmmc", method="mld")
+        with PermutationService(geometry, workers=1) as service:
+            (result,) = service.run([request])
+        assert isinstance(result.error, NotInClassError)
+        assert set(result.timings) == {"queue_wait", "plan"}
+        assert result.timings["plan"] > 0
 
     def test_submit_after_close_raises(self, geometry):
         service = PermutationService(geometry, workers=1)
