@@ -16,8 +16,8 @@ twice:
    *characteristic* configuration: ``zipf-hot-key`` through a cache
    far smaller than its key space (eviction policy under skew),
    ``bursty-overload`` through an undersized bounded queue (admission
-   control), ``mixed-chaos`` under injected faults with retries,
-   ``duplicate-heavy`` through a coalescing service (single-flight:
+   control), ``mixed-chaos`` under injected faults (each fails its
+   request), ``duplicate-heavy`` through a coalescing service (single-flight:
    ``coalesced > 0``, digests byte-identical to the oracle's, and a
    >= 2x throughput floor over the same service with coalescing off).
    Shed sets and eviction victims depend on worker interleaving, so
@@ -36,10 +36,10 @@ import json
 import pathlib
 import time
 
+from repro.errors import InjectedFault
 from repro.serve import (
     FaultPlan,
     PermutationService,
-    RetryPolicy,
     ServiceMetrics,
     WorkloadTrace,
     reconcile_replay,
@@ -88,7 +88,6 @@ def _scenario_service(name, trace):
                 seed=SEED, kernel_failures=0.1, slow_passes=0.25,
                 slow_seconds=0.001,
             ),
-            retry=RetryPolicy(attempts=3, base=0.0005, seed=SEED),
         )
     if name == "duplicate-heavy":
         # few workers so the queue backs up and duplicates reliably
@@ -113,7 +112,7 @@ def _fingerprint(report):
         "workload_digest": report.workload_digest,
         "io": io_triples,
         "stats": (s.submitted, s.admitted, s.shed, s.completed, s.failed,
-                  s.retries, s.deadline_exceeded, s.cancelled),
+                  s.deadline_exceeded, s.cancelled),
         "cache": (c.hits, c.misses, c.evictions, c.size),
     }
 
@@ -163,7 +162,12 @@ def _scenario_pass(name, trace, oracle=None):
     elif name == "bursty-overload":
         assert s.shed > 0, "overload scenario failed to saturate the queue"
     elif name == "mixed-chaos":
-        assert s.retries > 0, "chaos scenario injected no retried faults"
+        assert report.failed > 0, "chaos scenario injected no faults"
+        for r in report.results:
+            if not r.ok:
+                assert isinstance(r.error, InjectedFault), (
+                    f"request {r.index} failed with {type(r.error).__name__}"
+                )
     else:
         assert report.failed == 0
     return report
@@ -266,7 +270,7 @@ def test_workload_scenarios():
                 f"{summary['hit_rate']:.2f}",
                 summary["shed"],
                 summary["deadline_exceeded"],
-                summary["retries"],
+                summary["failed"],
                 summary["coalesced"],
             ]
         )
@@ -275,7 +279,7 @@ def test_workload_scenarios():
         "BENCH_workloads",
         "Golden workload traces: scenario replay characteristics",
         ["scenario", "events", "req/s", "p50 ms", "p99 ms", "hit rate",
-         "shed", "deadline", "retries", "coalesced"],
+         "shed", "deadline", "failed", "coalesced"],
         rows,
     )
     print()

@@ -172,34 +172,22 @@ def cmd_run(args) -> int:
 
 
 def _serve_policies(args):
-    """Faults / retry / breaker shared by batch serve and --http."""
+    """The fault plan shared by batch serve and --http (None without --chaos)."""
     import os
 
-    from repro.serve import CircuitBreaker, RetryPolicy, chaos_plan
+    from repro.serve import chaos_plan
 
-    faults = None
-    if args.chaos:
-        chaos_seed = args.chaos_seed
-        if chaos_seed is None:
-            chaos_seed = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-        faults = chaos_plan(seed=chaos_seed, intensity=args.chaos_intensity)
-        print(
-            f"chaos: seed={chaos_seed} intensity={args.chaos_intensity} "
-            "(deterministic fault injection active)"
-        )
-    retry = (
-        RetryPolicy(attempts=args.retries + 1, seed=args.seed)
-        if args.retries > 0
-        else None
+    if not args.chaos:
+        return None
+    chaos_seed = args.chaos_seed
+    if chaos_seed is None:
+        chaos_seed = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
+    faults = chaos_plan(seed=chaos_seed, intensity=args.chaos_intensity)
+    print(
+        f"chaos: seed={chaos_seed} intensity={args.chaos_intensity} "
+        "(deterministic fault injection active)"
     )
-    breaker = (
-        CircuitBreaker(
-            threshold=args.breaker_threshold, cooldown=args.breaker_cooldown
-        )
-        if args.breaker_threshold is not None
-        else None
-    )
-    return faults, retry, breaker
+    return faults
 
 
 def serve_http(args, shutdown_event=None, ready=None) -> int:
@@ -226,7 +214,7 @@ def serve_http(args, shutdown_event=None, ready=None) -> int:
     )
 
     g = _geometry(args)
-    faults, retry, breaker = _serve_policies(args)
+    faults = _serve_policies(args)
     recorder = (
         TraceRecorder(name=_trace_name(args.record), geometry=g)
         if args.record
@@ -252,8 +240,6 @@ def serve_http(args, shutdown_event=None, ready=None) -> int:
         queue_capacity=args.queue_capacity,
         queue_policy=args.queue_policy,
         default_timeout=args.timeout,
-        retry=retry,
-        breaker=breaker,
         faults=faults,
         metrics=ServiceMetrics(),
         recorder=recorder,
@@ -328,7 +314,6 @@ def cmd_serve(args) -> int:
     from dataclasses import asdict
 
     from repro.errors import (
-        CircuitOpenError,
         DeadlineExceeded,
         InjectedFault,
         RequestCancelled,
@@ -381,7 +366,7 @@ def cmd_serve(args) -> int:
             print("no requests to serve", file=sys.stderr)
             return 2
 
-    faults, retry, breaker = _serve_policies(args)
+    faults = _serve_policies(args)
     recorder = (
         TraceRecorder(name=_trace_name(args.record), geometry=g)
         if args.record
@@ -395,7 +380,7 @@ def cmd_serve(args) -> int:
         trace is None
         and recorder is None
         and args.workers <= 1
-        and not (faults or retry or breaker or args.queue_capacity or args.timeout)
+        and not (faults or args.queue_capacity or args.timeout)
     ):
         results = run_sequential(g, requests)
         cache_info = None
@@ -408,8 +393,6 @@ def cmd_serve(args) -> int:
             queue_capacity=args.queue_capacity,
             queue_policy=args.queue_policy,
             default_timeout=args.timeout,
-            retry=retry,
-            breaker=breaker,
             faults=faults,
             recorder=recorder,
             coalesce=args.coalesce,
@@ -434,8 +417,7 @@ def cmd_serve(args) -> int:
     # are the point of the exercise, not a defect: they don't gate the
     # exit code, everything else still does.
     expected = (
-        InjectedFault, RequestRejected, DeadlineExceeded,
-        RequestCancelled, CircuitOpenError,
+        InjectedFault, RequestRejected, DeadlineExceeded, RequestCancelled,
     )
     tolerated = bool(args.chaos or args.queue_capacity or args.timeout)
     failed = [r for r in results if not r.ok]
@@ -462,7 +444,7 @@ def cmd_serve(args) -> int:
     if stats is not None:
         print(
             f"service: {stats.submitted} submitted = {stats.admitted} admitted "
-            f"+ {stats.shed} shed; {stats.retries} retries, "
+            f"+ {stats.shed} shed; "
             f"{stats.deadline_exceeded} deadline-exceeded, "
             f"{stats.cancelled} cancelled, {stats.coalesced} coalesced"
         )
@@ -832,13 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request deadline in seconds from admission",
     )
     p_serve.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retry transient failures up to this many times "
-        "(seeded jittered exponential backoff)",
-    )
-    p_serve.add_argument(
         "--chaos",
         action="store_true",
         help="inject deterministic faults (planner/kernel errors, slow "
@@ -861,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats-json",
         type=str,
         default=None,
-        help="write service counters (admitted/shed/retries/...) to this file",
+        help="write service counters (admitted/shed/failed/...) to this file",
     )
     p_serve.add_argument("--verbose", action="store_true", help="print every result line")
     p_serve.add_argument(
@@ -889,19 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="HTTP mode: seconds of graceful drain on shutdown before "
         "queued work is hard-cancelled (default: drain fully)",
-    )
-    p_serve.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=None,
-        help="open a plan key's circuit after this many consecutive "
-        "compile failures (default: no breaker)",
-    )
-    p_serve.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=5.0,
-        help="seconds an open circuit waits before its half-open probe",
     )
     p_serve.add_argument(
         "--record",

@@ -24,7 +24,6 @@ __all__ = [
     "DeadlineExceeded",
     "RequestRejected",
     "ServiceClosedError",
-    "CircuitOpenError",
 ]
 
 
@@ -89,22 +88,23 @@ class PlanError(ValidationError):
 
 
 class TransientError(ReproError, RuntimeError):
-    """A failure classified as *transient*: retrying the same request may
-    succeed.
+    """A failure classified as *transient*: the client may resubmit the
+    same request and it may succeed.
 
-    The service's retry machinery only re-attempts failures of this
-    class (or exceptions carrying a truthy ``transient`` attribute);
-    everything else -- model-rule violations, class preconditions, bad
-    arguments -- is deterministic and retrying would just repeat it.
+    The service executes every request at most once; the HTTP error
+    body reports ``transient`` so a client can decide whether to
+    resubmit.  Everything else -- model-rule violations, class
+    preconditions, bad arguments -- is deterministic and a resubmission
+    would just repeat it.
     """
 
 
 class InjectedFault(TransientError):
     """A deterministic fault fired by a :class:`~repro.serve.FaultPlan`.
 
-    Chaos-testing errors are transient by definition: the fault plan's
-    seeded RNG may decide differently on the next attempt, which is
-    exactly the failure shape retry/backoff exists for.
+    It fails the request it fires in.  It is transient because the
+    fault plan's draws are per request index, so a resubmission (a new
+    index) draws afresh.
     """
 
 
@@ -114,7 +114,7 @@ class RequestCancelled(ReproError, RuntimeError):
     Raised from :meth:`~repro.pdm.cancel.CancellationToken.check` at
     pass/shard boundaries and cache latch waits; the executing worker
     unwinds promptly and the partial state is discarded (per-request
-    systems are reset before every attempt).
+    systems are reset before every execution).
     """
 
 
@@ -128,13 +128,3 @@ class RequestRejected(ReproError, RuntimeError):
 
 class ServiceClosedError(ValidationError):
     """A request was submitted to (or stranded in) a closed service."""
-
-
-class CircuitOpenError(ReproError, RuntimeError):
-    """A plan key is quarantined by the per-key circuit breaker.
-
-    Repeated compile failures for one key open its circuit; further
-    requests for that key fail fast instead of burning a worker on a
-    compile that is expected to fail, until the cooldown elapses and a
-    probe request is let through.
-    """

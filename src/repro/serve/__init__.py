@@ -12,9 +12,7 @@ Layout:
 * :mod:`repro.serve.requests` -- request/result values, workload
   construction, and the sequential reference runner.
 * :mod:`repro.serve.service` -- :class:`PermutationService`: the worker
-  pool with admission control, deadlines, retries, and fault injection.
-* :mod:`repro.serve.robust` -- :class:`RetryPolicy`,
-  :class:`CircuitBreaker`, and transient-failure classification.
+  pool with admission control, deadlines, and fault injection.
 * :mod:`repro.serve.faults` -- :class:`FaultPlan`: deterministic,
   seeded chaos fired through the execution stack's cooperative
   checkpoints.
@@ -64,14 +62,7 @@ from repro.serve.requests import (
     run_sequential,
     synthetic_mix,
 )
-from repro.serve.robust import (
-    QUEUE_POLICIES,
-    CircuitBreaker,
-    GuardedCache,
-    RetryPolicy,
-    is_transient,
-)
-from repro.serve.service import PermutationService, ServiceStats
+from repro.serve.service import QUEUE_POLICIES, PermutationService, ServiceStats
 from repro.serve.warmup import WarmupReport, load_warmup_spec, warm_service
 from repro.serve.workload import (
     ReplayReport,
@@ -95,9 +86,6 @@ __all__ = [
     "ServiceResult",
     "ServiceStats",
     "ReplayReport",
-    "RetryPolicy",
-    "CircuitBreaker",
-    "GuardedCache",
     "FaultPlan",
     "FaultSession",
     "HttpFrontend",
@@ -112,7 +100,6 @@ __all__ = [
     "execution_key",
     "generate_trace",
     "geometry_variants",
-    "is_transient",
     "make_permutation",
     "run_sequential",
     "synthetic_mix",

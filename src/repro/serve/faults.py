@@ -24,9 +24,8 @@ failures take, and the old test-suite idiom of monkeypatching engine
 internals and planners is no longer the only way to make the stack misbehave.
 
 Injected errors are :class:`~repro.errors.InjectedFault`, a
-:class:`~repro.errors.TransientError`: the retry machinery re-attempts
-them, and because the session RNG advances across attempts, a retry
-may genuinely succeed -- the failure shape retry/backoff exists for.
+:class:`~repro.errors.TransientError`.  The service executes every
+request at most once, so the first injected error fails its request.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class FaultPlan:
 
     * ``planner_failures`` -- probability a plan compile raises (fired
       at the ``planner`` checkpoint, inside the cache's compile thunk,
-      so breaker and compile-once latch semantics are exercised).
+      so compile-once latch semantics are exercised).
     * ``kernel_failures`` -- probability a ``pass``/``shard`` boundary
       raises mid-execution (the partially-moved-data shape).
     * ``slow_passes`` / ``slow_seconds`` -- probability a pass boundary
@@ -59,9 +58,6 @@ class FaultPlan:
     * ``latch_stalls`` / ``stall_seconds`` -- probability a *builder*
       stalls before compiling, stretching the cold-compile window other
       threads spend waiting on the in-flight latch.
-    * ``max_faults_per_request`` -- cap on injected *errors* per
-      request attempt sequence (sleeps don't count), so chaos at high
-      probability still lets retried requests eventually succeed.
     """
 
     seed: int = 0
@@ -71,7 +67,6 @@ class FaultPlan:
     slow_seconds: float = 0.01
     latch_stalls: float = 0.0
     stall_seconds: float = 0.05
-    max_faults_per_request: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("planner_failures", "kernel_failures", "slow_passes", "latch_stalls"):
@@ -90,8 +85,7 @@ class FaultPlan:
 
     def session(self, request_index: int) -> "FaultSession":
         """The per-request fault stream: deterministic in
-        ``(self.seed, request_index)`` and stateful across that
-        request's retry attempts (each attempt sees fresh draws)."""
+        ``(self.seed, request_index)``."""
         return FaultSession(self, request_index)
 
 
@@ -105,24 +99,17 @@ class FaultSession:
     thread interleaving.
     """
 
-    __slots__ = ("plan", "request_index", "_rng", "fired")
+    __slots__ = ("plan", "request_index", "_rng")
 
     def __init__(self, plan: FaultPlan, request_index: int) -> None:
         self.plan = plan
         self.request_index = int(request_index)
         self._rng = np.random.default_rng((int(plan.seed), self.request_index))
-        self.fired = 0  # injected errors so far (sleeps not counted)
-
-    def _exhausted(self) -> bool:
-        cap = self.plan.max_faults_per_request
-        return cap is not None and self.fired >= cap
 
     def _raise(self, point: str, label: str) -> None:
-        self.fired += 1
         where = f" [{label}]" if label else ""
         raise InjectedFault(
-            f"injected {point} fault{where} "
-            f"(request {self.request_index}, fault #{self.fired})"
+            f"injected {point} fault{where} (request {self.request_index})"
         )
 
     def fire(self, point: str, label: str = "") -> None:
@@ -136,18 +123,15 @@ class FaultSession:
             if plan.latch_stalls and self._rng.random() < plan.latch_stalls:
                 time.sleep(plan.stall_seconds)
             if plan.planner_failures and self._rng.random() < plan.planner_failures:
-                if not self._exhausted():
-                    self._raise(point, label)
+                self._raise(point, label)
         elif point == "pass":
             if plan.slow_passes and self._rng.random() < plan.slow_passes:
                 time.sleep(plan.slow_seconds)
             if plan.kernel_failures and self._rng.random() < plan.kernel_failures:
-                if not self._exhausted():
-                    self._raise(point, label)
+                self._raise(point, label)
         elif point == "shard":
             if plan.kernel_failures and self._rng.random() < plan.kernel_failures:
-                if not self._exhausted():
-                    self._raise(point, label)
+                self._raise(point, label)
         # "latch-wait" checkpoints exist for cancellation only: a waiter
         # blocked on someone else's compile has no work to corrupt.
 
@@ -156,8 +140,7 @@ def chaos_plan(seed: int = 0, intensity: float = 0.05) -> FaultPlan:
     """The CLI's ``--chaos`` preset: a little of everything.
 
     ``intensity`` scales the error probabilities; sleeps stay short so
-    chaos runs finish.  Capped at one injected error per request so a
-    retried request converges.
+    chaos runs finish.
     """
     if not 0.0 <= intensity <= 1.0:
         raise ValidationError(f"chaos intensity must be in [0, 1], got {intensity}")
@@ -169,5 +152,4 @@ def chaos_plan(seed: int = 0, intensity: float = 0.05) -> FaultPlan:
         slow_seconds=0.002,
         latch_stalls=intensity,
         stall_seconds=0.005,
-        max_faults_per_request=1,
     )

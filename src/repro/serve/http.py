@@ -3,9 +3,8 @@
 Everything here is standard library -- :class:`ThreadingHTTPServer`
 plus ``json`` -- so the repo stays dependency-free while still serving
 real sockets.  The frontend is deliberately thin: admission control,
-deadlines, retries, the breaker, and fault injection all live in the
-service; this layer translates HTTP to requests and typed errors to
-status codes.
+deadlines, and fault injection all live in the service; this layer
+translates HTTP to requests and typed errors to status codes.
 
 Routes
 ======
@@ -34,8 +33,8 @@ Routes
 
 ``GET /healthz`` ``/stats`` ``/cache`` ``/config``
     Liveness + introspection, all JSON.  ``/stats`` is the exact
-    :class:`~repro.serve.ServiceStats` snapshot (plus breaker and
-    cache detail) the load generator reconciles ``/metrics`` against.
+    :class:`~repro.serve.ServiceStats` snapshot (plus cache detail)
+    the load generator reconciles ``/metrics`` against.
 
 ``GET /metrics``
     Prometheus text format 0.0.4
@@ -44,11 +43,11 @@ Routes
 
 Error mapping (:func:`status_for`): the service's typed failures become
 meaningful statuses -- ``RequestRejected`` 429, ``DeadlineExceeded``
-504, ``CircuitOpenError`` and ``ServiceClosedError`` 503,
-``ValidationError`` 400, cooperative ``RequestCancelled`` 499, anything
-else 500.  Subclass order matters twice: ``ServiceClosedError`` *is a*
-``ValidationError`` but means "stop sending traffic here", and
-``DeadlineExceeded`` *is a* ``RequestCancelled`` but deserves 504.
+504, ``ServiceClosedError`` 503, ``ValidationError`` 400, cooperative
+``RequestCancelled`` 499, anything else 500.  Subclass order matters
+twice: ``ServiceClosedError`` *is a* ``ValidationError`` but means
+"stop sending traffic here", and ``DeadlineExceeded`` *is a*
+``RequestCancelled`` but deserves 504.
 
 Transport: every connection is HTTP/1.1 keep-alive with ``TCP_NODELAY``
 set on the accepted socket.  ``BaseHTTPRequestHandler`` buffers the
@@ -91,12 +90,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import NamedTuple
 
 from repro.errors import (
-    CircuitOpenError,
     DeadlineExceeded,
     ReproError,
     RequestCancelled,
     RequestRejected,
     ServiceClosedError,
+    TransientError,
     ValidationError,
 )
 from repro.serve.metrics import ServiceMetrics
@@ -125,7 +124,7 @@ def status_for(error: BaseException | None) -> int:
         return 429
     if isinstance(error, DeadlineExceeded):
         return 504
-    if isinstance(error, (CircuitOpenError, ServiceClosedError)):
+    if isinstance(error, ServiceClosedError):
         return 503
     if isinstance(error, RequestCancelled):
         return _CLIENT_CLOSED_REQUEST
@@ -135,13 +134,11 @@ def status_for(error: BaseException | None) -> int:
 
 
 def error_to_dict(error: BaseException) -> dict:
-    from repro.serve.robust import is_transient
-
     return {
         "type": type(error).__name__,
         "message": str(error),
         "status": status_for(error),
-        "transient": is_transient(error),
+        "transient": isinstance(error, TransientError),
     }
 
 
@@ -375,9 +372,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _get_stats(self) -> None:
         fe = self.frontend
         payload = asdict(fe.service.stats())
-        breaker = fe.service.breaker
-        if breaker is not None:
-            payload["breaker"] = breaker.snapshot()
         cache = fe.service.cache
         if cache is not None:
             payload["cache"] = asdict(cache.info())
@@ -724,8 +718,6 @@ class HttpFrontend:
         failure (e.g. closed service) releases the key -- the retry
         that follows a 503 must be able to try again.
         """
-        from repro.errors import TransientError
-
         canonical = json.dumps(request_to_dict(request), sort_keys=True)
         with self._lock:
             while True:
@@ -805,7 +797,7 @@ class HttpFrontend:
     def describe_config(self) -> dict:
         service = self.service
         g = service.geometry
-        config = {
+        return {
             "geometry": {"N": g.N, "B": g.B, "D": g.D, "M": g.M},
             "workers": service.workers,
             "queue_capacity": service.queue_capacity,
@@ -821,17 +813,3 @@ class HttpFrontend:
                 for path, methods in sorted(self.ROUTES.items())
             },
         }
-        retry = service.retry
-        if retry is not None:
-            config["retry"] = {
-                "attempts": retry.attempts,
-                "base": retry.base,
-                "multiplier": retry.multiplier,
-                "max_delay": retry.max_delay,
-                "jitter": retry.jitter,
-                "seed": retry.seed,
-            }
-        breaker = service.breaker
-        if breaker is not None:
-            config["breaker"] = breaker.snapshot()
-        return config

@@ -118,7 +118,6 @@ def reconcile(stats: dict, metrics_text: str) -> list[str]:
         ("shed", "repro_requests_shed_total"),
         ("completed", "repro_requests_completed_total"),
         ("failed", "repro_requests_failed_total"),
-        ("retries", "repro_request_retries_total"),
         ("deadline_exceeded", "repro_requests_deadline_exceeded_total"),
         ("cancelled", "repro_requests_cancelled_total"),
         ("coalesced", "repro_requests_coalesced_total"),

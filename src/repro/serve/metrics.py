@@ -388,8 +388,8 @@ class ServiceMetrics:
       pass-count and parallel-I/O histograms, and a typed error
       counter.
     * **Snapshot-bridged** -- :meth:`collect` copies one consistent
-      :class:`~repro.serve.service.ServiceStats` snapshot (plus cache,
-      per-shard, and breaker counters) into the registry, so the core
+      :class:`~repro.serve.service.ServiceStats` snapshot (plus cache
+      and per-shard counters) into the registry, so the core
       totals on ``/metrics`` reconcile *exactly* against ``/stats``:
       ``admitted + shed == submitted`` holds on every scrape.
     """
@@ -411,9 +411,6 @@ class ServiceMetrics:
         )
         self.failed = r.counter(
             "repro_requests_failed_total", "Requests resolved with an error"
-        )
-        self.retries = r.counter(
-            "repro_request_retries_total", "Retry attempts beyond the first"
         )
         self.deadline_exceeded = r.counter(
             "repro_requests_deadline_exceeded_total",
@@ -440,17 +437,6 @@ class ServiceMetrics:
         self.workers = r.gauge("repro_workers", "Worker pool size")
         self.up = r.gauge(
             "repro_service_up", "1 while the service accepts work, 0 once closed"
-        )
-        # ---- breaker
-        self.breaker_trips = r.counter(
-            "repro_breaker_trips_total", "Circuit-breaker closed->open transitions"
-        )
-        self.breaker_fast_failures = r.counter(
-            "repro_breaker_fast_failures_total",
-            "Requests refused while a plan-key circuit was open",
-        )
-        self.breaker_open_keys = r.gauge(
-            "repro_breaker_open_keys", "Plan keys currently quarantined"
         )
         # ---- plan cache (totals + per-shard)
         self.cache_hits = r.counter(
@@ -545,7 +531,7 @@ class ServiceMetrics:
 
     # --------------------------------------------------------- snapshot side
     def collect(self, service) -> None:
-        """Copy one consistent service/cache/breaker snapshot in.
+        """Copy one consistent service/cache snapshot in.
 
         Shard counters are read one shard lock at a time
         (:meth:`~repro.pdm.cache.ShardedPlanCache.shard_infos`), never
@@ -557,20 +543,14 @@ class ServiceMetrics:
         self.shed.set_total(stats.shed)
         self.completed.set_total(stats.completed)
         self.failed.set_total(stats.failed)
-        self.retries.set_total(stats.retries)
         self.deadline_exceeded.set_total(stats.deadline_exceeded)
         self.cancelled.set_total(stats.cancelled)
-        self.coalesced.set_total(getattr(stats, "coalesced", 0))
+        self.coalesced.set_total(stats.coalesced)
         self.queue_depth.set(stats.queue_depth)
-        self.coalesced_in_flight.set(getattr(stats, "coalesced_in_flight", 0))
+        self.coalesced_in_flight.set(stats.coalesced_in_flight)
         self.running.set(stats.running)
         self.workers.set(stats.workers)
         self.up.set(0.0 if stats.closed else 1.0)
-        self.breaker_trips.set_total(stats.breaker_trips)
-        self.breaker_fast_failures.set_total(stats.breaker_fast_failures)
-        breaker = getattr(service, "breaker", None)
-        if breaker is not None:
-            self.breaker_open_keys.set(len(breaker.open_keys()))
         cache = getattr(service, "cache", None)
         if cache is not None:
             info = cache.info()

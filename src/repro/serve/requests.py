@@ -225,8 +225,7 @@ class RequestTrace:
     (:func:`~repro.pdm.cache.cached_execute`) records ``plan`` and
     ``execute``, plus ``compile`` on a cache miss and ``latch_wait``
     while another thread compiles the same key.  :meth:`record` *adds*,
-    so staged plans and retries accumulate per stage rather than
-    overwrite.
+    so staged plans accumulate per stage rather than overwrite.
     """
 
     __slots__ = ("request_id", "timings")
@@ -250,10 +249,10 @@ class ServiceResult:
     Exactly one of ``report``/``error`` is set.  ``digest`` is the
     SHA-256 of the final portion (requests with ``capture_portion``),
     ``worker`` the executing thread's name, ``elapsed`` wall seconds.
-    ``attempts`` counts executions including retries (1 = first try
-    succeeded or was not retryable; 0 = never executed -- shed by
-    admission control, expired while still queued, or coalesced onto a
-    leader's execution).  ``coalesced`` marks results resolved by
+    ``attempts`` counts executions: 1 = executed (every request
+    executes at most once); 0 = never executed -- shed by admission
+    control, expired while still queued, or coalesced onto a leader's
+    execution.  ``coalesced`` marks results resolved by
     single-flight coalescing: the report/digest (or error) came from an
     identical in-flight request's one execution, not from running this
     request.  ``request_id`` is the service-assigned identity (the HTTP

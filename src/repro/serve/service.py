@@ -1,10 +1,10 @@
-"""The concurrent permutation service: admission, deadlines, retries.
+"""The concurrent permutation service: admission, deadlines, faults.
 
 :class:`PermutationService` executes a stream of
 :class:`~repro.serve.requests.PermutationRequest`\\ s on a pool of
 service-owned worker threads.  Each worker keeps a private
 :class:`~repro.pdm.system.ParallelDiskSystem` per geometry (reset
-before every attempt, so record state, stats, traces and memory
+before every execution, so record state, stats, traces and memory
 accounting are strictly per-request) while all workers share one
 :class:`~repro.pdm.cache.ShardedPlanCache`.
 
@@ -21,26 +21,19 @@ On top of the PR-4 execution core this adds the robustness layer:
 * **Deadlines + cooperative cancellation** -- every admitted request
   gets a :class:`~repro.pdm.cancel.CancellationToken` (from its
   ``timeout``/``deadline``, or the service ``default_timeout``),
-  installed as the worker's ambient scope for the attempt.  The
+  installed as the worker's ambient scope for the execution.  The
   engines, the optimizer and the plan cache's latch waits all call
   :func:`~repro.pdm.cancel.checkpoint`, so an expired request frees its
   worker at the next pass or streamed-segment boundary with
   :class:`~repro.errors.DeadlineExceeded` on its result -- it never
   occupies the pool to completion.
 
-* **Retry/backoff + circuit breaker** -- ``retry`` re-attempts
-  transient failures on the same worker with the policy's seeded
-  jittered backoff (deadline-aware: backoff sleeps are cut short by
-  cancellation).  ``breaker`` quarantines plan keys whose compiles
-  fail repeatedly (see :class:`~repro.serve.robust.CircuitBreaker`);
-  it engages only when the service has a cache, since it guards the
-  compile path.
-
 * **Fault injection** -- ``faults`` (a
   :class:`~repro.serve.faults.FaultPlan`) gives each admitted request
   a deterministic, seeded fault session that fires through the same
   checkpoints, so overload and failure behavior is testable to exact
-  counters.
+  counters.  An injected fault fails its request: every request
+  executes at most once.
 
 * **Single-flight coalescing** -- with ``coalesce=True``, a submitted
   request whose :func:`~repro.serve.requests.execution_key` matches one
@@ -48,12 +41,11 @@ On top of the PR-4 execution core this adds the robustness layer:
   instead of occupying a queue slot: the leader executes once and every
   follower resolves with the leader's ``report``/``digest`` on its own
   :class:`~repro.serve.requests.ServiceResult` (own index, request_id,
-  queue_wait; ``coalesced=True``, ``attempts=0``).  Failures propagate
-  to followers un-retried -- the leader's retry policy governs the one
-  execution.  Deadlines stay per-request: an expired follower detaches
-  with :class:`~repro.errors.DeadlineExceeded` without cancelling the
-  leader.  Off by default: coalescing changes cache/execution counts
-  for duplicate traffic, so callers opt in.
+  queue_wait; ``coalesced=True``, ``attempts=0``).  A leader failure
+  propagates to its followers.  Deadlines stay per-request: an expired
+  follower detaches with :class:`~repro.errors.DeadlineExceeded`
+  without cancelling the leader.  Off by default: coalescing changes
+  cache/execution counts for duplicate traffic, so callers opt in.
 
 Failures of any kind are isolated: the exception is captured on that
 request's :class:`~repro.serve.requests.ServiceResult`, the worker and
@@ -86,9 +78,11 @@ from repro.serve.requests import (
     _execute_request,
     execution_key,
 )
-from repro.serve.robust import QUEUE_POLICIES, GuardedCache, is_transient
 
-__all__ = ["PermutationService", "ServiceStats"]
+__all__ = ["QUEUE_POLICIES", "PermutationService", "ServiceStats"]
+
+#: Admission-control behaviors when the bounded queue is full.
+QUEUE_POLICIES = ("reject", "block", "shed-oldest")
 
 
 @dataclass(frozen=True)
@@ -116,15 +110,12 @@ class ServiceStats:
     shed: int
     completed: int
     failed: int
-    retries: int
     deadline_exceeded: int
     cancelled: int
     queue_depth: int
     running: int
     workers: int
     closed: bool
-    breaker_trips: int = 0
-    breaker_fast_failures: int = 0
     coalesced: int = 0
     coalesced_in_flight: int = 0
 
@@ -185,8 +176,8 @@ class PermutationService:
     """A worker pool serving permutation requests off a shared plan cache.
 
     See the module docstring for the robustness semantics.  Defaults
-    (unbounded queue, no deadlines, no retries, no breaker, no faults)
-    reproduce the PR-4 service exactly.
+    (unbounded queue, no deadlines, no faults) reproduce the PR-4
+    service exactly.
 
     ``cache=None`` (the default) builds a
     :class:`~repro.pdm.cache.ShardedPlanCache`; pass ``cache=False`` to
@@ -205,8 +196,6 @@ class PermutationService:
         queue_capacity: int | None = None,
         queue_policy: str = "reject",
         default_timeout: float | None = None,
-        retry=None,
-        breaker=None,
         faults=None,
         metrics=None,
         recorder=None,
@@ -226,15 +215,11 @@ class PermutationService:
         self.queue_capacity = None if queue_capacity is None else int(queue_capacity)
         self.queue_policy = queue_policy
         self.default_timeout = default_timeout
-        self.retry = retry
         self.faults = faults
         if cache is None:
             cache = ShardedPlanCache(maxsize=cache_maxsize, num_shards=num_shards)
         elif cache is False:
             cache = None
-        self.breaker = breaker
-        if breaker is not None and cache is not None:
-            cache = GuardedCache(cache, breaker)
         self.cache = cache
         # ``metrics`` is any object with observe_result(result) -- the
         # HTTP layer passes a ServiceMetrics.  Counters are NOT counted
@@ -266,7 +251,6 @@ class PermutationService:
         self._shed = 0
         self._completed = 0
         self._failed = 0
-        self._retries = 0
         self._deadline_exceeded = 0
         self._cancelled = 0
         self._running = 0
@@ -332,8 +316,8 @@ class PermutationService:
         The leader must already be out of ``_leaders`` (no new
         followers can attach) and ``result`` fully settled.  Each
         unresolved follower gets its own :class:`ServiceResult` sharing
-        the leader's report/digest/error -- a leader failure propagates
-        un-retried -- and the counters move ``coalesced_in_flight`` ->
+        the leader's report/digest/error, and the counters move
+        ``coalesced_in_flight`` ->
         ``coalesced``/``completed`` atomically with the snapshot, so
         ``stats()`` reconciles at every instant.  Futures resolve
         outside the lock (:meth:`_resolve_followers`).
@@ -382,7 +366,6 @@ class PermutationService:
 
     def _record_locked(self, result: ServiceResult) -> None:
         self._completed += 1
-        self._retries += max(0, result.attempts - 1)
         if result.error is None:
             return
         self._failed += 1
@@ -392,11 +375,9 @@ class PermutationService:
             self._cancelled += 1
 
     def _serve_item(self, item: _Item) -> ServiceResult:
-        """Run one admitted request, retrying transient failures.
+        """Run one admitted request once.
 
-        Never raises: failures are captured on the result.  Cancellation
-        (deadline or hard-cancel) is never retried -- the request's time
-        is up regardless of why the attempt failed.
+        Never raises: failures are captured on the result.
         """
         request = item.request
         result = ServiceResult(
@@ -407,30 +388,18 @@ class PermutationService:
             request_id=item.trace.request_id,
             trace=item.trace,
         )
-        delays = self.retry.delays(item.index) if self.retry is not None else []
         t0 = time.perf_counter()
-        while True:
-            try:
-                # Expired while queued (or during backoff): unwind before
-                # paying for a system fill.
-                item.token.check()
-                result.attempts += 1
-                system = self._worker_system(request.geometry or self.geometry)
-                with run_scope(item.token, item.faults, item.trace):
-                    result.report, result.digest = _execute_request(
-                        system, request, self.cache
-                    )
-                result.error = None
-                break
-            except Exception as exc:  # isolate: the pool and cache must survive
-                result.error = exc
-                if isinstance(exc, RequestCancelled):
-                    break
-                if result.attempts > len(delays) or not is_transient(exc):
-                    break
-                # Deadline-aware backoff: a cancel/expiry during the
-                # sleep surfaces on the next loop's token.check().
-                item.token.wait(delays[result.attempts - 1])
+        try:
+            # Expired while queued: unwind before paying for a system fill.
+            item.token.check()
+            result.attempts = 1
+            system = self._worker_system(request.geometry or self.geometry)
+            with run_scope(item.token, item.faults, item.trace):
+                result.report, result.digest = _execute_request(
+                    system, request, self.cache
+                )
+        except Exception as exc:  # isolate: the pool and cache must survive
+            result.error = exc
         result.elapsed = time.perf_counter() - t0
         return result
 
@@ -641,17 +610,12 @@ class PermutationService:
                 shed=self._shed,
                 completed=self._completed,
                 failed=self._failed,
-                retries=self._retries,
                 deadline_exceeded=self._deadline_exceeded,
                 cancelled=self._cancelled,
                 queue_depth=len(self._queue),
                 running=self._running,
                 workers=self.workers,
                 closed=self._closed,
-                breaker_trips=self.breaker.trips if self.breaker else 0,
-                breaker_fast_failures=(
-                    self.breaker.fast_failures if self.breaker else 0
-                ),
                 coalesced=self._coalesced,
                 coalesced_in_flight=self._coalesced_in_flight,
             )

@@ -14,11 +14,11 @@ The warmup spec is JSON, either
   :func:`~repro.serve.synthetic_mix`, the standard mixed workload.
 
 Warmup runs *through the service* (not around it), so it exercises the
-same worker pool, cache shards, and breaker the real traffic will --
-and its requests are counted in ``stats()`` like any others.  Failures
-don't abort the boot: a key that fails to compile during warmup will
-fail identically for real clients, which is precisely what the breaker
-and the error taxonomy are for; the report just records it.
+same worker pool and cache shards the real traffic will -- and its
+requests are counted in ``stats()`` like any others.  Failures don't
+abort the boot: a key that fails to compile during warmup will fail
+identically for real clients, with the same typed error; the report
+just records it.
 """
 
 from __future__ import annotations

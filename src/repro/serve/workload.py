@@ -1,7 +1,7 @@
 """Workload traces: record, generate, and replay service traffic.
 
 The paper's bounds are per-permutation; the serving stack's behavior --
-cache policy, admission control, deadlines, the breaker -- only shows
+cache policy, admission control, deadlines, coalescing -- only shows
 under *traffic*, and real traffic is skewed and bursty.  This module
 makes traffic a first-class, reproducible artifact:
 
@@ -649,8 +649,7 @@ class ReplayReport:
             "deadline_exceeded": (
                 stats.deadline_exceeded if stats is not None else 0
             ),
-            "retries": stats.retries if stats is not None else 0,
-            "coalesced": getattr(stats, "coalesced", 0) if stats is not None else 0,
+            "coalesced": stats.coalesced if stats is not None else 0,
             "workload_digest": self.workload_digest,
         }
 
@@ -683,8 +682,8 @@ def replay_trace(
     ``capture=None`` leaves requests as the trace recorded them.
 
     Submission order is trace order on one thread, so service-assigned
-    request indices -- and everything seeded by them (retry jitter,
-    fault sessions) -- are identical across replays of the same trace.
+    request indices -- and everything seeded by them (fault sessions)
+    -- are identical across replays of the same trace.
     """
     if speed <= 0:
         raise ValidationError(f"replay speed must be > 0, got {speed}")

@@ -7,7 +7,7 @@ fail individual requests, but
 * every successful result is byte-identical to the single-threaded
   strict-free reference (``run_sequential``),
 * every failure is an injected fault (no collateral damage), and
-* the admission/retry counters reconcile exactly.
+* the admission counters reconcile exactly.
 
 The fault seed is pinned via ``REPRO_CHAOS_SEED`` in CI so a failing
 matrix cell replays bit-for-bit locally.
@@ -20,7 +20,6 @@ from repro.pdm.geometry import DiskGeometry
 from repro.serve import (
     FaultPlan,
     PermutationService,
-    RetryPolicy,
     chaos_plan,
     run_sequential,
     synthetic_mix,
@@ -36,7 +35,6 @@ def _reconcile(stats, results):
     assert stats.completed == stats.admitted
     assert stats.queue_depth == 0 and stats.running == 0
     assert stats.failed == sum(1 for r in results if not r.ok)
-    assert stats.retries == sum(max(0, r.attempts - 1) for r in results)
 
 
 class TestChaosStress:
@@ -44,10 +42,7 @@ class TestChaosStress:
         requests = synthetic_mix(48, seed=CHAOS_SEED, capture_portion=True)
         faults = chaos_plan(seed=CHAOS_SEED, intensity=0.05)
         with PermutationService(
-            GEOMETRY,
-            workers=16,
-            faults=faults,
-            retry=RetryPolicy(attempts=4, base=0.001, seed=CHAOS_SEED),
+            GEOMETRY, workers=16, faults=faults
         ) as service:
             results = service.run(requests)
             stats = service.stats()
@@ -86,9 +81,9 @@ class TestChaosStress:
 
         assert _outcomes() == _outcomes()
 
-    def test_heavy_faults_with_retries_still_reconcile(self):
-        """Aggressive fault rates: some requests exhaust every retry, yet
-        counters balance and the pool drains clean."""
+    def test_heavy_faults_still_reconcile(self):
+        """Aggressive fault rates: many requests fail, yet counters
+        balance and the pool drains clean."""
         requests = synthetic_mix(32, seed=CHAOS_SEED, verify=False)
         faults = FaultPlan(
             seed=CHAOS_SEED,
@@ -98,10 +93,7 @@ class TestChaosStress:
             slow_seconds=0.001,
         )
         with PermutationService(
-            GEOMETRY,
-            workers=16,
-            faults=faults,
-            retry=RetryPolicy(attempts=3, base=0.0005, seed=CHAOS_SEED),
+            GEOMETRY, workers=16, faults=faults
         ) as service:
             results = service.run(requests)
             stats = service.stats()
@@ -109,5 +101,5 @@ class TestChaosStress:
         for r in results:
             if not r.ok:
                 assert isinstance(r.error, InjectedFault)
-                assert r.attempts == 3  # every transient got its retries
+                assert r.attempts == 1  # a failed request executed once
         _reconcile(stats, results)

@@ -15,7 +15,7 @@ The contract under test (opt-in via ``coalesce=True``):
 * **per-request deadlines** -- an expired follower detaches with
   ``DeadlineExceeded`` without cancelling the leader;
 * **failure propagation** -- a leader failure reaches every follower
-  un-retried (the leader's retry policy governs the one execution);
+  (the leader's one execution is theirs);
 * **off by default** -- duplicate traffic changes cache/execution
   counts, so callers opt in.
 
@@ -42,7 +42,6 @@ from repro.pdm.geometry import DiskGeometry
 from repro.serve import (
     PermutationRequest,
     PermutationService,
-    RetryPolicy,
     execution_key,
     run_sequential,
 )
@@ -312,11 +311,10 @@ class _ExplodingGateCache(_GateCache):
 
 
 class TestFailurePropagation:
-    def test_leader_failure_reaches_followers_unretried(self):
+    def test_leader_failure_reaches_followers(self):
         cache = _ExplodingGateCache()
-        retry = RetryPolicy(attempts=3, base=0.0, jitter=0.0, seed=0)
         with PermutationService(
-            GEOMETRY, workers=1, cache=cache, retry=retry, coalesce=True
+            GEOMETRY, workers=1, cache=cache, coalesce=True
         ) as svc:
             leader_future = svc.submit(HOT)
             _await(lambda: cache.compiles == 1)
@@ -327,15 +325,13 @@ class TestFailurePropagation:
             follower = follower_future.result(timeout=10)
             stats = svc.stats()
 
-        # The retry policy governed the one execution: the leader
-        # burned all three attempts, the follower none.
+        # The leader executed once and failed; the follower shares it.
         assert isinstance(leader.error, TransientError)
-        assert leader.attempts == 3
-        assert cache.compiles == 3
+        assert leader.attempts == 1
+        assert cache.compiles == 1
         assert isinstance(follower.error, TransientError)
         assert follower.error is leader.error
         assert follower.coalesced and follower.attempts == 0
-        assert stats.retries == 2
         assert stats.failed == 2
         assert stats.coalesced == 1
         _assert_reconciled_at_rest(stats, submitted=2)

@@ -111,7 +111,7 @@ class TestDeadlineExpiry:
             stats = service.stats()
 
         assert isinstance(expired.error, DeadlineExceeded)
-        assert expired.attempts == 1  # executed once, never retried
+        assert expired.attempts == 1  # executed once
         # freed within one pass boundary: it did not run out the full
         # plan (3+ passes x 0.05s sleep each, plus the work)
         assert expired.elapsed < 0.15
@@ -119,17 +119,6 @@ class TestDeadlineExpiry:
         assert stats.deadline_exceeded == 1
         assert stats.failed == 1
         assert stats.completed == stats.admitted == 2
-
-    def test_deadline_never_retried_even_with_retry_policy(self):
-        from repro.serve import RetryPolicy
-
-        with PermutationService(
-            GEOMETRY, workers=1, faults=SLOW,
-            retry=RetryPolicy(attempts=5, base=0.001),
-        ) as service:
-            result = service.submit(_expiring_request("strict", True)).result()
-        assert isinstance(result.error, DeadlineExceeded)
-        assert result.attempts == 1
 
     def test_expired_while_queued_never_executes(self):
         # one worker pinned by a slow request; the queued request's

@@ -22,7 +22,6 @@ import pytest
 
 from repro.pdm.geometry import DiskGeometry
 from repro.serve import (
-    CircuitBreaker,
     FaultPlan,
     HttpFrontend,
     PermutationService,
@@ -191,20 +190,17 @@ class TestIntrospection:
         assert total_misses == body["cache"]["misses"]
 
     def test_config_reports_knobs(self, geometry):
-        breaker = CircuitBreaker(threshold=2, cooldown=0.5)
         with make_frontend(
             geometry,
             workers=3,
             queue_capacity=7,
             queue_policy="shed-oldest",
-            breaker=breaker,
         ) as fe:
             status, config = http_json("GET", fe.url, "/config")
         assert status == 200
         assert config["workers"] == 3
         assert config["queue_capacity"] == 7
         assert config["queue_policy"] == "shed-oldest"
-        assert config["breaker"]["threshold"] == 2
         assert config["geometry"] == GEOMETRY
         assert "/permutations" in config["routes"]
 
@@ -384,24 +380,6 @@ class TestErrorTaxonomy:
         assert status == 500
         assert body["error"]["type"] == "InjectedFault"
         assert body["error"]["transient"] is True
-
-    def test_circuit_open_is_503(self, geometry):
-        with make_frontend(
-            geometry,
-            workers=1,
-            breaker=CircuitBreaker(threshold=1, cooldown=60.0),
-            faults=FaultPlan(seed=0, planner_failures=1.0),
-        ) as fe:
-            status, _ = http_json(
-                "POST", fe.url, "/permutations", dict(TRANSPOSE)
-            )
-            assert status == 500  # the compile failure that trips the breaker
-            status, body = http_json(
-                "POST", fe.url, "/permutations", dict(TRANSPOSE)
-            )
-            assert status == 503
-            assert body["error"]["type"] == "CircuitOpenError"
-            assert "quarantined" in body["error"]["message"]
 
     def test_submit_after_service_close_is_503(self, geometry):
         with make_frontend(geometry, workers=1) as fe:

@@ -10,11 +10,12 @@ import json
 
 import pytest
 
-from repro.errors import NotInClassError, ValidationError
+from repro.errors import InjectedFault, NotInClassError, ValidationError
 from repro.pdm.cache import PlanCache, ShardedPlanCache, compile_plan
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import PlanBuilder
 from repro.serve import (
+    FaultPlan,
     PermutationRequest,
     PermutationService,
     load_requests,
@@ -260,3 +261,20 @@ class TestPermutationService:
             # pool survives: a good request on the same worker still runs
             (good,) = service.run([PermutationRequest(perm="gray")])
         assert good.ok and good.report.verified
+
+    @pytest.mark.parametrize(
+        "faults,perm,error",
+        [
+            (FaultPlan(seed=3, kernel_failures=1.0), "random-mrc", InjectedFault),
+            # a non-MRC permutation: deterministic NotInClassError
+            (None, "bit-reversal", NotInClassError),
+        ],
+        ids=["injected-kernel-fault", "not-in-class"],
+    )
+    def test_failed_request_executes_once(self, geometry, faults, perm, error):
+        with PermutationService(geometry, workers=1, faults=faults) as service:
+            (result,) = service.run([PermutationRequest(perm=perm, method="mrc")])
+            stats = service.stats()
+        assert isinstance(result.error, error)
+        assert result.attempts == 1
+        assert stats.failed == stats.completed == 1

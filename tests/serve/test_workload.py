@@ -499,7 +499,7 @@ class TestReplayOracle:
             "events", "ok", "failed", "throughput_rps", "wall_seconds",
             "latency_p50_ms", "latency_p99_ms", "hit_rate", "cache_hits",
             "cache_misses", "cache_evictions", "shed", "deadline_exceeded",
-            "retries", "workload_digest",
+            "workload_digest",
         ):
             assert key in summary
         assert summary["events"] == summary["ok"] == 6

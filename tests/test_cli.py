@@ -157,6 +157,17 @@ class TestServe:
         assert code == 2
         assert "no requests" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--retries", "2"], ["--breaker-threshold", "3"],
+                 ["--breaker-cooldown", "5"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_removed_flag_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--count", "1", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_positive(self, capsys):
