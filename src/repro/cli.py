@@ -124,8 +124,6 @@ def cmd_run(args) -> int:
     cache = PlanCache() if (args.cache or repeat > 1) else None
     if repeat > 1 and (args.timeline or args.trace):
         print("(--repeat disables tracing; run once for a timeline)")
-    if args.optimize and args.engine != "fast":
-        print("(--optimize needs --engine fast; running unoptimized)")
     report = None
     for i in range(repeat):
         system = ParallelDiskSystem(g)
@@ -141,7 +139,6 @@ def cmd_run(args) -> int:
             perm,
             method=args.method,
             engine=args.engine,
-            optimize=args.optimize,
             cache=cache,
         )
         elapsed = time.perf_counter() - t0
@@ -359,7 +356,6 @@ def cmd_serve(args) -> int:
                 seed=args.seed,
                 distinct_seeds=args.distinct_seeds,
                 engine=args.engine,
-                optimize=not args.no_optimize,
             )
         requests = requests * max(1, args.repeat)
         if not requests:
@@ -735,12 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--rank-gamma", type=int, default=None)
     p_run.add_argument(
-        "--optimize",
-        action="store_true",
-        help="plan-level rewrites: fuse ping-pong passes into one physical "
-        "gather/scatter (fast engine; stats unchanged)",
-    )
-    p_run.add_argument(
         "--cache",
         action="store_true",
         help="compile plans into an in-process PlanCache (implied by --repeat > 1)",
@@ -778,7 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--distinct-seeds", type=int, default=2, help="seed rotation of the synthetic mix (key cardinality)")
     p_serve.add_argument("--engine", choices=list(ENGINES), default="fast")
-    p_serve.add_argument("--no-optimize", action="store_true", help="skip plan-level rewrites")
     p_serve.add_argument("--cache-size", type=int, default=64, help="shared plan cache capacity")
     p_serve.add_argument("--shards", type=int, default=8, help="cache lock shards")
     p_serve.add_argument(

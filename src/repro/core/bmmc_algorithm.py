@@ -157,7 +157,6 @@ def perform_bmmc(
     merge_factors: bool = True,
     plan: list[PlanStep] | None = None,
     engine: str = "strict",
-    optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
 ) -> BMMCRunResult:
@@ -171,9 +170,8 @@ def perform_bmmc(
     (geometry, matrix, complement); repeated workloads skip
     classification, factoring, planning, fusing, and validation.  An
     explicit ``plan`` (a step list) is not part of that key, so such a
-    run bypasses the cache.  ``optimize`` additionally fuses the
-    ping-pong chain into one physical gather/scatter (fast engine only;
-    stats are unchanged).
+    run bypasses the cache.  The fast engine runs the ping-pong chain
+    as one physical gather (stats are unchanged).
     """
     before = system.stats.parallel_ios
     key = plan_key(
@@ -193,7 +191,7 @@ def perform_bmmc(
 
     meta, _, _ = cached_execute(
         system, cache if plan is None else None, key, build,
-        engine=engine, optimize=optimize, stream_records=stream_records,
+        engine=engine, stream_records=stream_records,
     )
     return BMMCRunResult(
         steps=meta["steps"],

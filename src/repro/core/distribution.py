@@ -185,7 +185,6 @@ def perform_distribution_sort(
     prefetch_window: int | None = None,
     seed: int = 0,
     engine: str = "strict",
-    optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
 ) -> DistributionSortResult:
@@ -197,8 +196,7 @@ def perform_distribution_sort(
 
     All I/O flows through staged plans: without ``cache`` the stages are
     planned adaptively from the live system state and executed one at a
-    time under ``engine`` (``optimize`` applies the plan-level rewrites
-    per stage, fast engine only).  With ``cache`` the staged plan is
+    time under ``engine``.  With ``cache`` the staged plan is
     materialized against a pure simulation of the canonical input into
     one composed plan and served through the compiled-plan cache; the
     key includes the RNG ``seed``, so runs with different seeds -- whose
@@ -232,12 +230,11 @@ def perform_distribution_sort(
                 ),
                 dict(meta),
             ),
-            engine=engine, optimize=optimize, stream_records=stream_records,
+            engine=engine, stream_records=stream_records,
         )
     else:
         execute_staged(
-            system, staged, engine=engine, optimize=optimize,
-            stream_records=stream_records,
+            system, staged, engine=engine, stream_records=stream_records
         )
 
     return DistributionSortResult(

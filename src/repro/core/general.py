@@ -216,16 +216,15 @@ def perform_general_sort(
     target_portion: int = 1,
     fan_in: int | None = None,
     engine: str = "strict",
-    optimize: bool = False,
     stream_records=None,
 ) -> GeneralSortResult:
     """Permute by external merge sort on target addresses.
 
     Ping-pongs between the two portions; the result reports where the
     output landed.  The schedule is data-dependent, so there is no plan
-    cache, but ``optimize`` still applies: the merge passes ping-pong
-    full portions, so the cross-pass optimizer fuses the whole sort
-    into one physical gather/scatter while reporting per-pass stats.
+    cache.  The merge passes ping-pong full portions, so the fast
+    engine runs the whole sort as one physical gather while reporting
+    per-pass stats.
     """
     g = system.geometry
     plan = plan_general_sort(
@@ -238,8 +237,7 @@ def perform_general_sort(
     )
     before = system.stats.parallel_ios
     execute_plan(
-        system, plan.io_plan, engine=engine, optimize=optimize,
-        stream_records=stream_records,
+        system, plan.io_plan, engine=engine, stream_records=stream_records
     )
     return GeneralSortResult(
         passes=plan.passes,

@@ -143,7 +143,6 @@ def perform_inverse_mld_pass(
     label: str = "inv-mld",
     check_class: bool = True,
     engine: str = "strict",
-    optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
 ) -> None:
@@ -162,7 +161,7 @@ def perform_inverse_mld_pass(
             ),
             None,
         ),
-        engine=engine, optimize=optimize, stream_records=stream_records,
+        engine=engine, stream_records=stream_records,
     )
 
 
@@ -254,7 +253,6 @@ def perform_mld_composition_pass(
     target_portion: int = 1,
     label: str = "mld-o-mldinv",
     engine: str = "strict",
-    optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
 ) -> BMMCPermutation:
@@ -274,6 +272,6 @@ def perform_mld_composition_pass(
             ),
             None,
         ),
-        engine=engine, optimize=optimize, stream_records=stream_records,
+        engine=engine, stream_records=stream_records,
     )
     return y_perm.compose(x_perm.inverse())

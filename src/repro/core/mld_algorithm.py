@@ -108,16 +108,14 @@ def perform_mld_pass(
     label: str = "mld",
     check_class: bool = True,
     engine: str = "strict",
-    optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
 ) -> None:
     """Perform an MLD permutation in one pass (striped reads, independent writes).
 
     ``cache`` reuses a compiled plan for repeated (geometry, matrix)
-    workloads; ``optimize`` runs the plan-level rewrites of
-    :mod:`repro.pdm.optimize` (fast engine only); ``stream_records``
-    bounds the executor's host read-stream buffer.
+    workloads; ``stream_records`` bounds the executor's host
+    read-stream buffer.
     """
     key = plan_key(
         "mld", system.geometry, perm.matrix, perm.complement,
@@ -133,5 +131,5 @@ def perform_mld_pass(
             ),
             None,
         ),
-        engine=engine, optimize=optimize, stream_records=stream_records,
+        engine=engine, stream_records=stream_records,
     )

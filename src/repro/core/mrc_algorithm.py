@@ -69,15 +69,13 @@ def perform_mrc_pass(
     target_portion: int = 1,
     label: str = "mrc",
     engine: str = "strict",
-    optimize: bool = False,
     cache: PlanCache | None = None,
     stream_records=None,
 ) -> None:
     """Perform an MRC permutation in one pass (striped reads and writes).
 
     ``cache`` reuses a compiled plan for repeated (geometry, matrix)
-    workloads; ``optimize`` enables the plan-level rewrites;
-    ``stream_records`` bounds the executor's host buffer.
+    workloads; ``stream_records`` bounds the executor's host buffer.
     """
     key = plan_key(
         "mrc", system.geometry, perm.matrix, perm.complement,
@@ -92,5 +90,5 @@ def perform_mrc_pass(
             ),
             None,
         ),
-        engine=engine, optimize=optimize, stream_records=stream_records,
+        engine=engine, stream_records=stream_records,
     )

@@ -68,7 +68,6 @@ def perform_permutation(
     target_portion: int = 1,
     verify: bool = True,
     engine: str = "strict",
-    optimize: bool = False,
     cache: PlanCache | None = None,
     seed: int = 0,
 ) -> RunReport:
@@ -82,18 +81,17 @@ def perform_permutation(
 
     ``engine`` selects plan execution: ``strict`` replays every parallel
     I/O through the rule-checked simulator path, ``fast`` runs the same
-    plan as fused numpy batches (identical portions and stats).  The
+    plan through :mod:`repro.pdm.optimize`, one numpy gather per
+    whole-portion unit of passes (identical portions and stats).  The
     distribution sort is adaptive (its I/Os depend on sampled state); it
     runs as a staged plan (:mod:`repro.pdm.stage`) whose stages execute
     under either engine.
 
-    ``optimize`` compiles the plan through :mod:`repro.pdm.optimize`
-    (cross-pass fusion, dead-write elimination; fast engine only) and
     ``cache`` -- a :class:`~repro.pdm.cache.PlanCache` -- serves
     repeated (geometry, matrix, method) workloads from compiled plans,
-    skipping classification, planning, fusing, and validation.  Both
-    leave portions and :class:`~repro.pdm.stats.IOStats` identical to
-    an unoptimized strict run.  The general sort's schedule is
+    skipping classification, planning, fusing, and validation, and
+    leaves portions and :class:`~repro.pdm.stats.IOStats` identical to
+    an uncached strict run.  The general sort's schedule is
     data-dependent and is never cached; the distribution sort caches
     its materialized staged plan keyed by the RNG seed (its canonical
     input makes the schedule a pure function of the seed and knobs).
@@ -131,13 +129,13 @@ def perform_permutation(
     if chosen == "mrc":
         perform_mrc_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
-            engine=engine, optimize=optimize, cache=cache,
+            engine=engine, cache=cache,
         )
         final = target_portion
     elif chosen == "mld":
         perform_mld_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
-            engine=engine, optimize=optimize, cache=cache,
+            engine=engine, cache=cache,
         )
         final = target_portion
     elif chosen == "inv-mld":
@@ -145,7 +143,7 @@ def perform_permutation(
 
         perform_inverse_mld_pass(
             system, _require_bmmc(bperm, chosen), source_portion, target_portion,
-            engine=engine, optimize=optimize, cache=cache,
+            engine=engine, cache=cache,
         )
         final = target_portion
     elif chosen in ("bmmc", "bmmc-unmerged"):
@@ -156,14 +154,12 @@ def perform_permutation(
             target_portion,
             merge_factors=(chosen == "bmmc"),
             engine=engine,
-            optimize=optimize,
             cache=cache,
         )
         final = result.final_portion
     elif chosen == "general":
         result = perform_general_sort(
-            system, perm, source_portion, target_portion,
-            engine=engine, optimize=optimize,
+            system, perm, source_portion, target_portion, engine=engine
         )
         final = result.final_portion
     elif chosen == "distribution":
@@ -171,7 +167,7 @@ def perform_permutation(
 
         result = perform_distribution_sort(
             system, perm, source_portion, target_portion, seed=seed,
-            engine=engine, optimize=optimize, cache=cache,
+            engine=engine, cache=cache,
         )
         final = result.final_portion
     else:
@@ -201,7 +197,6 @@ def perform_pipeline(
     target_portion: int = 1,
     verify: bool = True,
     engine: str = "strict",
-    optimize: bool = False,
     cache: PlanCache | None = None,
 ) -> RunReport:
     """Perform a sequence of permutations as *one* composed run.
@@ -230,7 +225,6 @@ def perform_pipeline(
         target_portion=target_portion,
         verify=verify,
         engine=engine,
-        optimize=optimize,
         cache=cache,
     )
 

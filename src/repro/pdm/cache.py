@@ -12,8 +12,8 @@ class-property proofs -- dominate the cost of a fast execution.
 :class:`ShardedPlanCache` is a thread-safe LRU map from a
 :func:`plan_key` to a :class:`CompiledPlan`: the plan with its fused
 per-pass arrays already built, the model-rule audit already passed, and
-(lazily, on first fast-engine use) the cross-pass
-:class:`~repro.pdm.optimize.OptimizedPlan` rewrite compiled.
+(lazily, on first fast-engine use) the
+:class:`~repro.pdm.optimize.OptimizedPlan` the fast engine runs.
 :class:`PlanCache` is the same cache with one shard, so one LRU order
 spans every entry.  A cache hit goes straight to gather/scatter -- no
 planning, no fusing, no structural validation; only the data-dependent
@@ -114,7 +114,8 @@ def plan_key(algorithm: str, geometry: DiskGeometry, *components) -> tuple:
 
 
 class CompiledPlan:
-    """A pre-fused, pre-validated plan, optionally pre-optimized.
+    """A pre-fused, pre-validated plan, and its optimized form once a
+    fast-engine execution has asked for it.
 
     ``meta`` carries algorithm-level results that are pure functions of
     the key (e.g. the BMMC factor schedule and final portion) so cache
@@ -129,14 +130,13 @@ class CompiledPlan:
     def __init__(
         self,
         plan: IOPlan,
-        optimized,
         check: PlanCheck,
         num_portions: int,
         simple_io: bool,
         meta=None,
     ) -> None:
         self.plan = plan
-        self.optimized = optimized
+        self.optimized = None
         self.check = check
         self.num_portions = num_portions
         self.simple_io = simple_io
@@ -174,25 +174,19 @@ def compile_plan(
     plan: IOPlan,
     num_portions: int = 2,
     simple_io: bool = True,
-    optimize: bool = True,
     meta=None,
 ) -> CompiledPlan:
-    """Fuse, audit, and (optionally) optimize a plan for reuse.
+    """Fuse and audit a plan for reuse.
 
-    This front-loads every input-independent cost: after compiling,
-    executions skip straight to data movement.  No
+    This front-loads every input-independent cost but one: the
+    optimized form stays unset until :meth:`CompiledPlan.ensure_optimized`
+    (the first fast-engine execution) builds it, so strict-only
+    workloads never pay for its N-record pull indexes.  No
     :class:`~repro.pdm.system.ParallelDiskSystem` is required -- the
     audit simulates the M-record memory from empty.
     """
     check = audit_plan(geometry, plan, num_portions=num_portions, simple_io=simple_io)
-    optimized = None
-    if optimize:
-        from repro.pdm.optimize import optimize_plan
-
-        optimized = optimize_plan(
-            plan, num_portions=num_portions, simple_io=simple_io
-        )
-    return CompiledPlan(plan, optimized, check, num_portions, simple_io, meta=meta)
+    return CompiledPlan(plan, check, num_portions, simple_io, meta=meta)
 
 
 class ShardedPlanCache:
@@ -417,7 +411,6 @@ def cached_execute(
     key: tuple,
     build: Callable[[], tuple[IOPlan, object]],
     engine: str = "fast",
-    optimize: bool = True,
     stream_records=None,
 ) -> tuple[object, ExecReport, bool]:
     """Run a planner's plan, through ``cache`` when one is given.
@@ -433,10 +426,10 @@ def cached_execute(
     Otherwise all cache traffic goes through ``cache.get_or_compile``,
     so a cache shared between worker threads gets compile-once cold
     misses and exact counters with no changes to the algorithm
-    wrappers.  The optimized form is compiled lazily, on the entry's
-    first fast-engine execution with ``optimize=True``, then memoized;
-    the caller's flag selects which form executes, so one entry serves
-    callers on either setting without re-compilation or a key split.
+    wrappers.  The fast engine runs the entry's optimized form,
+    compiled lazily on its first fast-engine execution and then
+    memoized; the strict engine replays the plan itself.  The engine is
+    not part of the key, so one entry serves both engines.
 
     When the calling thread carries an ambient timing trace
     (:func:`~repro.pdm.cancel.current_trace` -- the service installs
@@ -458,7 +451,7 @@ def cached_execute(
         plan, meta = timed("plan", build)
         report = timed(
             "execute", execute_plan, system, plan, engine=engine,
-            optimize=optimize, stream_records=stream_records,
+            stream_records=stream_records,
         )
         return meta, report, False
 
@@ -468,13 +461,11 @@ def cached_execute(
         return timed(
             "compile", compile_plan, system.geometry, plan,
             num_portions=system.num_portions, simple_io=system.simple_io,
-            optimize=False,  # lazy: see CompiledPlan.ensure_optimized
             meta=meta,
         )
 
     def _execute() -> ExecReport:
-        optimized = optimize and engine == "fast"
-        target = compiled.ensure_optimized() if optimized else compiled.plan
+        target = compiled.ensure_optimized() if engine == "fast" else compiled.plan
         return execute_plan(
             system, target, engine=engine, stream_records=stream_records
         )

@@ -51,8 +51,8 @@ class CancellationToken:
     earlier wins).  :meth:`check` is the cooperative primitive: cheap
     when live, raising a typed error once cancelled or expired.
     :meth:`cancel` may be called from any thread (the service's
-    hard-cancel path uses it); the waiting side observes it at its next
-    checkpoint or :meth:`wait`.
+    hard-cancel path uses it); the worker observes it at its next
+    checkpoint.
     """
 
     __slots__ = ("deadline", "reason", "_event")
@@ -93,13 +93,6 @@ class CancellationToken:
             raise DeadlineExceeded(
                 f"deadline exceeded ({time.monotonic() - self.deadline:.3f}s past)"
             )
-
-    def wait(self, timeout: float) -> bool:
-        """Sleep up to ``timeout`` seconds, interruptible by :meth:`cancel`
-        and bounded by the deadline; returns ``True`` if cancelled."""
-        if self.deadline is not None:
-            timeout = min(timeout, max(0.0, self.deadline - time.monotonic()))
-        return self._event.wait(timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "live"
@@ -163,12 +156,13 @@ def current_trace():
 def checkpoint(point: str, label: str = "") -> None:
     """A cooperative boundary: honor cancellation, then fire faults.
 
-    Called by the executors at pass boundaries and between streamed
-    segments (the ``shard`` point), by the optimizer between fused
-    groups, and by the plan cache around compiles and latch waits.
-    Free (one thread-local read) when no scope is installed; the check
-    runs *before* fault injection so a cancelled request never burns
-    time on injected sleeps.
+    Every engine fires one ``pass`` checkpoint per plan pass -- the
+    optimizer too, for each member of a whole-portion unit, before the
+    unit's one gather -- and a ``shard`` checkpoint between streamed
+    segments; the plan cache fires its own points around compiles and
+    latch waits.  Free (one thread-local read) when no scope is
+    installed; the check runs *before* fault injection so a cancelled
+    request never burns time on injected sleeps.
     """
     scope = getattr(_local, "scope", None)
     if scope is None:

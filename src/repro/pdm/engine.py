@@ -14,7 +14,9 @@ Two ways to run an :class:`~repro.pdm.schedule.IOPlan` on a
 * **fast** validates the *whole plan* up front (vectorized conflict,
   capacity, and slot checks across all steps) and then executes each
   pass as one fused numpy gather/scatter, updating
-  :class:`~repro.pdm.stats.IOStats` and the memory accountant in bulk.
+  :class:`~repro.pdm.stats.IOStats` and the memory accountant in bulk;
+  ``execute_plan`` runs it through :mod:`repro.pdm.optimize`, which
+  moves each whole-portion unit of passes with one gather.
   Per-step Python overhead disappears; portions, stats snapshots, pass
   tables, and the memory peak come out identical to strict execution.
 
@@ -686,16 +688,9 @@ def _apply_segment(
     f: _FusedPass,
     s0: int,
     s1: int,
-    write_keep: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gather/check/scatter one step range of a fused pass; returns its
-    read-stream chunk (the caller reports/captures it).
-
-    ``write_keep`` is a record-level mask over the pass's write stream
-    (the optimizer's dead-write elimination); masked records skip the
-    physical scatter while everything else -- checks, consumes, stats
-    -- proceeds as usual.
-    """
+    read-stream chunk (the caller reports/captures it)."""
     g = system.geometry
     B = g.B
     data = system._data
@@ -750,16 +745,11 @@ def _apply_segment(
         if rec0:
             src = src - rec0
         out = stream[src]
-        keep = None if write_keep is None else write_keep[wrec0:wrec1]
         for portion, idx in _portion_groups(write_portions, rec_wport):
-            if keep is None:
-                if isinstance(idx, slice):
-                    data[portion][write_addr] = out
-                else:
-                    data[portion, write_addr[idx]] = out[idx]
+            if isinstance(idx, slice):
+                data[portion][write_addr] = out
             else:
-                mask = keep if isinstance(idx, slice) else (idx & keep)
-                data[portion, write_addr[mask]] = out[mask]
+                data[portion, write_addr[idx]] = out[idx]
     return stream
 
 
@@ -785,7 +775,6 @@ def _run_fused_pass(
     budget: int | None,
     report: ExecReport,
     mem: _PassMemory,
-    write_keep: np.ndarray | None = None,
 ) -> None:
     """Execute one fused pass, streaming when it exceeds ``budget``, and
     fold its host peak, streamed flag, captured stream and stats into
@@ -797,7 +786,7 @@ def _run_fused_pass(
     for s0, s1 in segments:
         if s0:
             checkpoint("shard", f.label)
-        stream = _apply_segment(system, f, s0, s1, write_keep=write_keep)
+        stream = _apply_segment(system, f, s0, s1)
         report.host_peak_records = max(report.host_peak_records, stream.size)
     if len(segments) > 1:
         report.streamed_passes += 1
@@ -832,29 +821,30 @@ def execute_plan(
     system: ParallelDiskSystem,
     plan,
     engine: str = "strict",
-    optimize: bool = False,
     stream_records=None,
     capture: bool = False,
 ) -> ExecReport:
     """Execute an I/O plan under the chosen engine.
 
     ``strict`` replays step-by-step with full per-operation rule
-    enforcement; ``fast`` validates up front and executes fused.  Both
-    leave byte-identical portions and identical stats.  With observers
-    attached, ``fast`` falls back to strict so every
-    :class:`~repro.pdm.system.IOEvent` is still delivered.
+    enforcement; ``fast`` validates up front and compiles the plan with
+    :func:`~repro.pdm.optimize.optimize_plan`, so each whole-portion
+    unit moves its data in one gather.  Both leave byte-identical
+    portions and identical stats.  With observers attached, ``fast``
+    falls back to strict so every :class:`~repro.pdm.system.IOEvent` is
+    still delivered.
 
     ``plan`` may also be a pre-compiled
-    :class:`~repro.pdm.optimize.OptimizedPlan`; ``optimize=True``
-    compiles one on the fly (fast engine only).  ``stream_records``
-    bounds either engine's host read-stream buffer (``None`` = auto
-    at :data:`STREAM_AUTO_RECORDS`, ``0`` = never stream);
+    :class:`~repro.pdm.optimize.OptimizedPlan`.  ``stream_records``
+    bounds either engine's host read-stream buffer (``None`` = auto at
+    :data:`STREAM_AUTO_RECORDS`, ``0`` = never stream);
     ``capture=True`` returns each pass's read stream in the report
-    (disables streaming -- the stream must be whole).
+    (disables streaming -- the stream must be whole -- and runs the
+    fast engine pass by pass).
     """
-    from repro.pdm.optimize import OptimizedPlan  # local: optimize imports us
+    from repro.pdm import optimize  # local: optimize imports us
 
-    if isinstance(plan, OptimizedPlan):
+    if isinstance(plan, optimize.OptimizedPlan):
         return plan.execute(
             system, engine=engine, stream_records=stream_records, capture=capture
         )
@@ -862,17 +852,13 @@ def execute_plan(
         raise ValidationError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if plan.geometry != system.geometry:
         raise ValidationError("plan and system geometries differ")
-    if optimize and engine == "fast" and not capture and not system._observers:
-        from repro.pdm.optimize import optimize_plan
-
-        oplan = optimize_plan(
+    if engine == "fast" and not system._observers:
+        if capture:
+            return _execute_fast(system, plan, capture=True)
+        oplan = optimize.optimize_plan(
             plan, num_portions=system.num_portions, simple_io=system.simple_io
         )
-        return oplan.execute(system, engine=engine, stream_records=stream_records)
-    if engine == "fast" and not system._observers:
-        return _execute_fast(
-            system, plan, stream_records=stream_records, capture=capture
-        )
+        return oplan.execute(system, stream_records=stream_records)
     report = _execute_strict(
         system, plan, capture=capture, stream_records=stream_records
     )

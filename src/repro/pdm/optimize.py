@@ -7,26 +7,18 @@ Theorem 21 chain, each sort round) reads every address of one portion
 and writes every address of another, so on the host it is one
 permutation of one portion onto another.  :func:`optimize_plan` finds
 these *whole-portion units* statically -- a single such pass, or a
-chain of them that ping-pongs through portions -- and precomputes each
-one's ``pull`` index, so that an :class:`OptimizedPlan` moves the
-unit's data with one ``np.take(data[p_in], pull, out=data[p_out])``,
-while still reporting pass-by-pass :class:`~repro.pdm.stats.IOStats`
-and memory peaks exactly as the unoptimized plan would.  Three
-rewrites:
-
-* **pass fusion across ping-pong portions** -- pass ``k+1`` reads
-  (consuming) the whole portion pass ``k`` wrote, so the write/read
-  round trip through the portion array is replaced by composing the two
-  address maps.  A chain of ``p`` passes becomes one gather.
-* **dead-write elimination** -- a write whose target block is
-  overwritten by a later pass with no intervening read never influences
-  the final state; the physical scatter is skipped (its I/O is still
-  counted).  Only applies outside simple I/O: under simple I/O such a
-  plan faults, and the optimizer must preserve the fault.
-* **step coalescing** -- adjacent steps with identical (kind, portion,
-  consume) metadata collapse into single gather/scatter segments; this
-  falls out of the fused columnar representation and is reported, not
-  re-derived.
+chain of them that ping-pongs through portions -- and makes one
+rewrite: it composes each unit's address maps into one ``pull`` index.
+Pass ``k+1`` reads (consuming) the whole portion pass ``k`` wrote, so
+the write/read round trip through the portion array becomes a
+composition of two address maps, and a chain of ``p`` passes becomes
+one gather.  An :class:`OptimizedPlan` moves each unit's data with one
+``np.take(data[p_in], pull, out=data[p_out])``, while still reporting
+pass-by-pass :class:`~repro.pdm.stats.IOStats` and memory peaks exactly
+as the plan itself would, and firing one ``pass`` checkpoint per member
+(all before the gather), as the per-pass engines do.  The fast engine
+(:func:`~repro.pdm.engine.execute_plan` with ``engine="fast"``) runs
+every plan this way.
 
 Equivalence is by construction, and :meth:`OptimizedPlan.verify` checks
 the construction cheaply: every unit's members read and write whole
@@ -43,8 +35,8 @@ be empty at that moment -- for ``p_in`` that is guaranteed by the
 consume, for every other target it is its state before the unit runs.
 Each intermediate portion is written whole and consumed whole, so it
 ends as empty as never materializing it would leave it.  Plans that
-are not made of whole-portion passes (hand-built test plans, dead-write
-plans outside simple I/O) run pass by pass through the fast engine.
+are not made of whole-portion passes (hand-built test plans, plans
+outside simple I/O) run pass by pass through the fast engine.
 """
 
 from __future__ import annotations
@@ -81,15 +73,12 @@ class OptimizeReport:
     physical_passes: int            # gather/scatter units after fusion
     fused_groups: int               # chains of >= 2 passes fused into one
     fused_links: int                # eliminated write->read round trips
-    eliminated_write_records: int   # records whose scatter was dead
-    coalesced_steps: int            # steps folded into wider segments
 
     def summary(self) -> str:
         return (
             f"{self.passes} passes -> {self.physical_passes} physical "
             f"({self.fused_groups} fused groups, {self.fused_links} links "
-            f"eliminated, {self.eliminated_write_records} dead write records, "
-            f"{self.coalesced_steps} steps coalesced)"
+            "eliminated)"
         )
 
 
@@ -101,13 +90,10 @@ class _Group:
     members pass by pass through the fast engine.
     """
 
-    __slots__ = ("members", "write_keep", "pull", "p_in", "p_out", "targets")
+    __slots__ = ("members", "pull", "p_in", "p_out", "targets")
 
-    def __init__(
-        self, members, write_keep=None, pull=None, p_in=None, p_out=None, targets=()
-    ):
+    def __init__(self, members, pull=None, p_in=None, p_out=None, targets=()):
         self.members = members          # list[_FusedPass], plan order
-        self.write_keep = write_keep    # dead-write record mask (singletons)
         self.pull = pull                # output address -> p_in address
         self.p_in = p_in                # the portion the first member consumes
         self.p_out = p_out              # the portion the last member writes
@@ -172,54 +158,6 @@ def _whole_portion_unit(g, members, rows) -> _Group:
     return grp
 
 
-def _dead_write_masks(g, fused, simple_io: bool):
-    """Per-pass record keep-masks for writes overwritten before any read.
-
-    Walks passes last-to-first carrying the set of portion-qualified
-    addresses that a later pass overwrites with no read in between.
-    Under simple I/O the strict engine faults on such plans, so the
-    rewrite is offered only outside it.
-    """
-    if simple_io:
-        return {}, 0
-    masks = {}
-    eliminated = 0
-    kill = np.zeros(0, dtype=np.int64)
-    for idx in range(len(fused) - 1, -1, -1):
-        f = fused[idx]
-        qw = f.rec_write_portion * g.N + f.write_addr
-        qr = f.rec_read_portion * g.N + f.read_addr
-        if kill.size and qw.size:
-            dead = np.isin(qw, kill)
-            if dead.any():
-                masks[idx] = ~dead
-                eliminated += int(dead.sum())
-        if qw.size:
-            kill = np.union1d(kill, qw)
-        if qr.size and kill.size:
-            kill = np.setdiff1d(kill, qr)
-    return masks, eliminated
-
-
-def _coalesced_steps(f, simple_io: bool) -> int:
-    """Steps whose metadata folds into a wider contiguous segment."""
-    folded = 0
-    if f.read_sizes.size > 1:
-        consume = f.resolved_consume(simple_io)
-        runs = 1 + int(
-            np.count_nonzero(
-                (np.diff(f.read_portions) != 0)
-                | (np.diff(consume.astype(np.int8)) != 0)
-                | (np.diff(f.read_discard.astype(np.int8)) != 0)
-            )
-        )
-        folded += f.read_sizes.size - runs
-    if f.write_sizes.size > 1:
-        runs = 1 + int(np.count_nonzero(np.diff(f.write_portions) != 0))
-        folded += f.write_sizes.size - runs
-    return folded
-
-
 def optimize_plan(
     plan: IOPlan,
     num_portions: int = 2,
@@ -238,10 +176,6 @@ def optimize_plan(
     for f in fused:
         _check_pass(g, num_portions, simple_io, f)
 
-    # Fusion needs simple I/O and dead-write elimination needs its
-    # absence, so no pass is ever both fused and masked.
-    masks, eliminated = _dead_write_masks(g, fused, simple_io)
-
     # A unit is a run of whole-portion passes, each consuming the
     # portion its predecessor wrote.
     rows = [_rows(g, f, simple_io) for f in fused]
@@ -251,7 +185,7 @@ def optimize_plan(
     while i < len(fused):
         j = i + 1
         if rows[i] is None:
-            groups.append(_Group(fused[i:j], write_keep=masks.get(i)))
+            groups.append(_Group(fused[i:j]))
         else:
             while (
                 j < len(fused)
@@ -268,8 +202,6 @@ def optimize_plan(
         physical_passes=len(groups),
         fused_groups=sum(1 for grp in groups if len(grp.members) > 1),
         fused_links=links,
-        eliminated_write_records=eliminated,
-        coalesced_steps=sum(_coalesced_steps(f, simple_io) for f in fused),
     )
     return OptimizedPlan(plan, fused, groups, report, num_portions, simple_io)
 
@@ -308,8 +240,8 @@ class OptimizedPlan:
 
         Checks: every member of a whole-portion unit reads and writes N
         records, every unit's pull index maps one portion into itself,
-        dead-write masks only mask write records, and the pass list the
-        optimized executor will report equals the original plan's.
+        and the pass list the optimized executor will report equals the
+        original plan's.
         """
         N = self.geometry.N
         total_passes = 0
@@ -322,12 +254,6 @@ class OptimizedPlan:
                             f"unit member {f.label!r} does not move a whole portion"
                         )
                 _check_pull(grp, N)
-            if grp.write_keep is not None:
-                if grp.write_keep.shape != grp.members[0].write_addr.shape:
-                    raise PlanError(
-                        f"pass {grp.members[0].label!r}: dead-write mask shape "
-                        "mismatch"
-                    )
         if total_passes != len(self._fused) or total_passes != self.plan.num_passes:
             raise PlanError("optimized groups do not cover the plan's passes")
         return {
@@ -381,8 +307,11 @@ class OptimizedPlan:
             members = grp.members
             group_mems = mems[start : start + len(members)]
             start += len(members)
-            checkpoint("pass", members[0].label)
             if grp.pull is not None and (budget is None or g.N <= budget):
+                # Every member's pass boundary comes before the one
+                # gather, so a stop there leaves the unit unmoved.
+                for f in members:
+                    checkpoint("pass", f.label)
                 _run_unit(system, grp)
                 report.host_peak_records = max(report.host_peak_records, g.N)
                 for f, mem in zip(members, group_mems):
@@ -392,9 +321,8 @@ class OptimizedPlan:
             # would bust the stream budget (the budget wins): run the
             # members one by one through the streaming path.
             for f, mem in zip(members, group_mems):
-                _run_fused_pass(
-                    system, f, budget, report, mem, write_keep=grp.write_keep
-                )
+                checkpoint("pass", f.label)
+                _run_fused_pass(system, f, budget, report, mem)
         return report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -34,7 +34,7 @@ Two ways to run a staged plan:
 Both paths produce byte-identical portions and identical
 :class:`~repro.pdm.stats.IOStats`; the conformance suite
 (``tests/core/test_conformance.py``) holds every planner to that across
-every engine/optimizer/cache/streaming combination.
+every engine/cache/streaming combination.
 """
 
 from __future__ import annotations
@@ -194,7 +194,6 @@ def execute_staged(
     system: ParallelDiskSystem,
     staged: StagedPlan,
     engine: str = "strict",
-    optimize: bool = False,
     stream_records=None,
 ) -> StagedReport:
     """Run a staged plan adaptively: emit, execute, observe, repeat.
@@ -211,8 +210,7 @@ def execute_staged(
     out = StagedReport(engine=engine)
     for plan in staged.stages(view):
         report = execute_plan(
-            system, plan, engine=engine, optimize=optimize,
-            stream_records=stream_records,
+            system, plan, engine=engine, stream_records=stream_records
         )
         out.stages += 1
         out.passes += plan.num_passes

@@ -162,7 +162,6 @@ class PermutationRequest:
     seed: int = 0
     rank_gamma: int | None = None
     engine: str = "fast"
-    optimize: bool = True
     verify: bool = True
     capture_portion: bool = False
     source_portion: int = 0
@@ -186,8 +185,9 @@ def execution_key(
     Mirrors :func:`~repro.pdm.cache.plan_key`'s discipline: everything
     that shapes the observable result is in -- the named permutation
     (resolved deterministically from seed/rank_gamma), geometry, method,
-    seed, engine, optimizer and capture settings.  ``timeout``/``deadline``
-    stay out: they bound *when* a result may arrive, never *what* it is.
+    seed, engine, verify and capture settings, and the portions.
+    ``timeout``/``deadline`` stay out: they bound *when* a result may
+    arrive, never *what* it is.
 
     Returns ``None`` for requests that are not coalescible: a ready
     :class:`~repro.perms.base.Permutation` object has no value identity
@@ -206,7 +206,6 @@ def execution_key(
         request.seed,
         request.rank_gamma,
         request.engine,
-        request.optimize,
         request.verify,
         request.capture_portion,
         request.source_portion,
@@ -317,7 +316,6 @@ def _execute_request(
         target_portion=request.target_portion,
         verify=request.verify,
         engine=request.engine,
-        optimize=request.optimize,
         cache=cache,
         seed=request.seed,
     )
@@ -383,7 +381,6 @@ def synthetic_mix(
     seed: int = 0,
     distinct_seeds: int = 2,
     engine: str = "fast",
-    optimize: bool = True,
     verify: bool = True,
     capture_portion: bool = False,
 ) -> list[PermutationRequest]:
@@ -403,7 +400,6 @@ def synthetic_mix(
                 method=method,
                 seed=seed + (i // len(_MIX_TEMPLATES)) % max(1, distinct_seeds),
                 engine=engine,
-                optimize=optimize,
                 verify=verify,
                 capture_portion=capture_portion,
             )

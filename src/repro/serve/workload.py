@@ -316,7 +316,6 @@ class WorkloadSpec:
     geometry: dict | None = None
     geometries: tuple = ()
     engine: str = "fast"
-    optimize: bool = True
     verify: bool = False
     capture_portion: bool = True
     timeout: float | None = None
@@ -427,7 +426,6 @@ def _key_catalog(spec: WorkloadSpec) -> list[PermutationRequest]:
         seed=spec.seed,
         distinct_seeds=max(1, spec.key_space),
         engine=spec.engine,
-        optimize=spec.optimize,
         verify=spec.verify,
         capture_portion=spec.capture_portion,
     )

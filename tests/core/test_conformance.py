@@ -9,10 +9,10 @@ must produce byte-identical portions and identical
 :class:`~repro.pdm.stats.IOStats` (pass tables and memory envelope
 included) across the full combination matrix
 
-    {strict, fast} x {optimize on/off} x {cache cold/warm}
-        x {streamed/unstreamed}
+    {strict, fast} x {cache cold/warm} x {streamed/unstreamed}
 
-over several geometries.  The reference cell is strict / unoptimized /
+over several geometries.  The fast engine always runs the plan
+optimizer (:mod:`repro.pdm.optimize`).  The reference cell is strict /
 uncached / unstreamed -- the per-operation replay with full model-rule
 enforcement, i.e. the hand-written performers' semantics.
 
@@ -59,14 +59,13 @@ ENGINES = ("strict", "fast")
 
 #: The full combination matrix.  ``cached`` cells execute twice through
 #: one fresh PlanCache -- cold (miss, compile, store) then warm (hit).
-MATRIX = list(itertools.product(ENGINES, (False, True), (False, True), (False, True)))
+MATRIX = list(itertools.product(ENGINES, (False, True), (False, True)))
 
 
 def _combo_id(combo):
-    engine, optimize, cached, streamed = combo
+    engine, cached, streamed = combo
     return (
-        f"{engine}-{'opt' if optimize else 'plain'}-"
-        f"{'cached' if cached else 'uncached'}-"
+        f"{engine}-{'cached' if cached else 'uncached'}-"
         f"{'streamed' if streamed else 'whole'}"
     )
 
@@ -107,18 +106,18 @@ class Spec:
     def fresh(self, g: DiskGeometry) -> ParallelDiskSystem:
         return identity_system(g)
 
-    def run(self, system, g, engine, optimize, cache, stream_records):
+    def run(self, system, g, engine, cache, stream_records):
         raise NotImplementedError
 
 
 class MLDSpec(Spec):
     name = "mld"
 
-    def run(self, system, g, engine, optimize, cache, stream_records):
+    def run(self, system, g, engine, cache, stream_records):
         rng = np.random.default_rng(SEED)
         perm = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, rng))
         perform_mld_pass(
-            system, perm, engine=engine, optimize=optimize, cache=cache,
+            system, perm, engine=engine, cache=cache,
             stream_records=stream_records,
         )
         return None
@@ -127,11 +126,11 @@ class MLDSpec(Spec):
 class MRCSpec(Spec):
     name = "mrc"
 
-    def run(self, system, g, engine, optimize, cache, stream_records):
+    def run(self, system, g, engine, cache, stream_records):
         rng = np.random.default_rng(SEED)
         perm = BMMCPermutation(random_mrc_matrix(g.n, g.m, rng), 3 % g.N)
         perform_mrc_pass(
-            system, perm, engine=engine, optimize=optimize, cache=cache,
+            system, perm, engine=engine, cache=cache,
             stream_records=stream_records,
         )
         return None
@@ -140,11 +139,11 @@ class MRCSpec(Spec):
 class InverseMLDSpec(Spec):
     name = "inv-mld"
 
-    def run(self, system, g, engine, optimize, cache, stream_records):
+    def run(self, system, g, engine, cache, stream_records):
         rng = np.random.default_rng(SEED)
         perm = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, rng)).inverse()
         perform_inverse_mld_pass(
-            system, perm, engine=engine, optimize=optimize, cache=cache,
+            system, perm, engine=engine, cache=cache,
             stream_records=stream_records,
         )
         return None
@@ -153,12 +152,12 @@ class InverseMLDSpec(Spec):
 class CompositionSpec(Spec):
     name = "composition"
 
-    def run(self, system, g, engine, optimize, cache, stream_records):
+    def run(self, system, g, engine, cache, stream_records):
         rng = np.random.default_rng(SEED)
         x = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, rng))
         y = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, rng))
         composed = perform_mld_composition_pass(
-            system, y, x, engine=engine, optimize=optimize, cache=cache,
+            system, y, x, engine=engine, cache=cache,
             stream_records=stream_records,
         )
         return (composed.matrix, composed.complement)
@@ -167,11 +166,11 @@ class CompositionSpec(Spec):
 class BMMCSpec(Spec):
     name = "bmmc"
 
-    def run(self, system, g, engine, optimize, cache, stream_records):
+    def run(self, system, g, engine, cache, stream_records):
         rng = np.random.default_rng(SEED)
         perm = BMMCPermutation(random_nonsingular(g.n, rng), 5 % g.N)
         result = perform_bmmc(
-            system, perm, engine=engine, optimize=optimize, cache=cache,
+            system, perm, engine=engine, cache=cache,
             stream_records=stream_records,
         )
         return (result.final_portion, result.parallel_ios, len(result.steps))
@@ -181,11 +180,10 @@ class GeneralSortSpec(Spec):
     name = "general-sort"
     supports_cache = False  # schedule is data-dependent, never cached
 
-    def run(self, system, g, engine, optimize, cache, stream_records):
+    def run(self, system, g, engine, cache, stream_records):
         perm = ExplicitPermutation(np.random.default_rng(SEED).permutation(g.N))
         result = perform_general_sort(
-            system, perm, engine=engine, optimize=optimize,
-            stream_records=stream_records,
+            system, perm, engine=engine, stream_records=stream_records
         )
         return (result.final_portion, result.passes, result.parallel_ios)
 
@@ -193,11 +191,11 @@ class GeneralSortSpec(Spec):
 class DistributionSortSpec(Spec):
     name = "distribution-sort"
 
-    def run(self, system, g, engine, optimize, cache, stream_records):
+    def run(self, system, g, engine, cache, stream_records):
         perm = ExplicitPermutation(np.random.default_rng(SEED).permutation(g.N))
         result = perform_distribution_sort(
-            system, perm, seed=11, engine=engine, optimize=optimize,
-            cache=cache, stream_records=stream_records,
+            system, perm, seed=11, engine=engine, cache=cache,
+            stream_records=stream_records,
         )
         return (result.final_portion, result.passes, result.parallel_ios)
 
@@ -214,7 +212,7 @@ class DetectionSpec(Spec):
         store_target_vector(s, perm)
         return s
 
-    def run(self, system, g, engine, optimize, cache, stream_records):
+    def run(self, system, g, engine, cache, stream_records):
         # Pin the chunking so strict and fast issue identical plans.
         result = detect_bmmc(
             system, engine=engine, verify_chunk=g.stripes_per_memoryload
@@ -251,17 +249,17 @@ SPECS = [
 def test_conformance_matrix(spec, geom):
     g = DiskGeometry(**geom)
     ref_system = spec.fresh(g)
-    ref_result = spec.run(ref_system, g, "strict", False, None, 0)
+    ref_result = spec.run(ref_system, g, "strict", None, 0)
 
     for combo in MATRIX:
-        engine, optimize, cached, streamed = combo
+        engine, cached, streamed = combo
         tag = f"{spec.name}/{_combo_id(combo)}"
         cache = PlanCache() if (cached and spec.supports_cache) else None
         stream = g.M if streamed else 0
         rounds = 2 if cached else 1  # cold miss, then warm hit
         for i in range(rounds):
             system = spec.fresh(g)
-            result = spec.run(system, g, engine, optimize, cache, stream)
+            result = spec.run(system, g, engine, cache, stream)
             round_tag = f"{tag}/{'warm' if i else 'cold'}"
             assert_same_observable_state(ref_system, system, round_tag)
             assert result == ref_result, f"{round_tag}: results differ"
@@ -291,7 +289,7 @@ def test_streamed_cells_actually_stream():
 
 
 def test_matrix_covers_every_combination():
-    """16 cells: 2 engines x 2 optimize x 2 cache x 2 streaming."""
-    assert len(MATRIX) == 16
-    assert len(set(MATRIX)) == 16
+    """8 cells: 2 engines x 2 cache x 2 streaming."""
+    assert len(MATRIX) == 8
+    assert len(set(MATRIX)) == 8
 

@@ -221,9 +221,7 @@ class TestStagedPort:
         perm = ExplicitPermutation(tv)
         cache = PlanCache()
         for expected_hits in (0, 1):
-            s, res, ok = run(
-                geometry, perm, seed=4, engine="fast", optimize=True, cache=cache
-            )
+            s, res, ok = run(geometry, perm, seed=4, engine="fast", cache=cache)
             assert ok
             assert cache.info().hits == expected_hits
 
@@ -241,8 +239,7 @@ class TestStagedPort:
             s.fill_identity(0)
             reports.append(
                 perform_permutation(
-                    s, perm, method="distribution", engine="fast",
-                    optimize=True, cache=cache,
+                    s, perm, method="distribution", engine="fast", cache=cache
                 )
             )
         assert all(r.verified for r in reports)

@@ -1,8 +1,9 @@
 """Optimizer/cache equivalence: compiled execution is indistinguishable.
 
-The optimizer's contract extends the engine's: for any plan, optimized
-(+cached) fast execution produces byte-identical portion contents and
-identical I/O accounting to strict execution of the unoptimized plan.
+The optimizer's contract extends the engine's: for any plan, fast
+execution -- which runs the optimizer, cached or not -- produces
+byte-identical portion contents and identical I/O accounting to strict
+execution of the plan.
 Quantified over random geometries and random MRC/MLD/inverse-MLD/BMMC/
 general instances (Hypothesis), with the cache exercised by running
 every workload twice -- the second run must hit and still match.
@@ -42,7 +43,7 @@ def test_optimized_cached_equals_strict_everywhere(geometry, method, seed):
     for round_ in range(2):  # round 2 is the cache hit (general never caches)
         fast = fresh(g)
         report_fast = perform_permutation(
-            fast, perm, method=method, engine="fast", optimize=True, cache=cache
+            fast, perm, method=method, engine="fast", cache=cache
         )
         assert report_strict.verified and report_fast.verified
         assert report_strict.passes == report_fast.passes

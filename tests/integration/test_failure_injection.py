@@ -268,7 +268,7 @@ class TestServiceFaultInjection:
             slots = builder.read(0, [0])
             builder.write(1, [0], slots)
             successes.append(1)
-            return compile_plan(serve_geometry, builder.build(), optimize=False)
+            return compile_plan(serve_geometry, builder.build())
 
         compiled, hit = cache.get_or_compile(key, build_good)
         _, hit2 = cache.get_or_compile(key, build_good)

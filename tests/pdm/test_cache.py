@@ -85,7 +85,7 @@ class TestPlanCache:
         cache = PlanCache()
         for _ in range(2):  # second run is the cache hit
             s = fresh(g)
-            perform_mld_pass(s, perm, engine="fast", optimize=True, cache=cache)
+            perform_mld_pass(s, perm, engine="fast", cache=cache)
             assert (s.portion_values(1) == strict.portion_values(1)).all()
             assert s.stats.snapshot() == strict.stats.snapshot()
             assert [p for p in s.stats.passes] == [p for p in strict.stats.passes]
@@ -96,7 +96,11 @@ class TestPlanCache:
         perm = mld_perm(g)
         compiled = compile_plan(g, plan_mld_pass(g, perm))
         assert compiled.check.parallel_ios == g.one_pass_ios
-        assert compiled.optimized is not None
+        # the optimized form waits for its first fast-engine execution
+        assert compiled.optimized is None
+        optimized = compiled.ensure_optimized()
+        assert optimized is not None
+        assert compiled.ensure_optimized() is optimized
         # fused metadata is warm: every pass carries its fused cache
         assert all("fused" in p._fused for p in compiled.plan.passes)
 
@@ -154,9 +158,7 @@ class TestCachedAlgorithms:
 
         for _ in range(2):
             s = fresh(g)
-            rep = perform_permutation(
-                s, rev, engine="fast", optimize=True, cache=cache
-            )
+            rep = perform_permutation(s, rev, engine="fast", cache=cache)
             assert rep.verified
             assert rep.method == ref.method
             assert rep.passes == ref.passes
@@ -164,18 +166,18 @@ class TestCachedAlgorithms:
             assert s.stats.snapshot() == reference.stats.snapshot()
         assert cache.info().hits >= 1
 
-    def test_one_entry_serves_both_optimize_settings(self, geometry):
-        """A cache entry stored by an optimize=True caller must honor a
-        later optimize=False caller (and vice versa): the flag selects
-        the executed form per call, it is not baked into the entry."""
+    def test_one_entry_serves_both_engines(self, geometry):
+        """A cache entry stored by a fast-engine caller must serve a
+        later strict caller (and vice versa): the engine selects the
+        executed form per call, it is not baked into the entry."""
         g = geometry
         rev = bit_reversal(g.n)
         reference = fresh(g)
         ref = perform_bmmc(reference, rev, engine="strict")
         cache = PlanCache()
-        for optimize in (True, False, True):
+        for engine in ("fast", "strict", "fast"):
             s = fresh(g)
-            perform_bmmc(s, rev, engine="fast", optimize=optimize, cache=cache)
+            perform_bmmc(s, rev, engine=engine, cache=cache)
             assert (
                 s.portion_values(ref.final_portion)
                 == reference.portion_values(ref.final_portion)
@@ -277,7 +279,7 @@ class TestShardObservability:
         builder.begin_pass("p")
         slots = builder.read(0, [0])
         builder.write(1, [0], slots)
-        return compile_plan(geometry, builder.build(), optimize=False)
+        return compile_plan(geometry, builder.build())
 
     def test_shard_infos_reconcile_with_totals(self, geometry, sharded):
         compiled = self._compiled(geometry)

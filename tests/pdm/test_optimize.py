@@ -10,6 +10,7 @@ from repro.core.bmmc_algorithm import plan_bmmc_io, plan_bmmc_passes
 from repro.core.general import plan_general_sort
 from repro.core.mld_algorithm import plan_mld_pass
 from repro.errors import BlockStateError, MemoryCapacityError, PlanError
+from repro.pdm.cancel import run_scope
 from repro.pdm.engine import execute_plan
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.optimize import optimize_plan
@@ -158,16 +159,17 @@ class TestFusion:
 
     def test_simple_io_fault_preserved(self, geometry):
         """A unit writing to occupied blocks must still fault, naming
-        exactly the occupied block, as the per-pass fast path does."""
+        exactly the occupied block, as the per-pass fast path (which a
+        stream budget below N selects) does."""
         planted = 5
         for g, plan in unit_plans(geometry):
             # occupy one record of the first member's target (portion 1)
-            for optimize in (True, False):
+            for stream in (None, g.M):
                 s = fresh(g)
                 s._data[1, planted * g.B + 1] = 42
                 with pytest.raises(BlockStateError) as err:
-                    execute_plan(s, plan, engine="fast", optimize=optimize)
-                assert named_blocks(err.value) == [planted], optimize
+                    execute_plan(s, plan, engine="fast", stream_records=stream)
+                assert named_blocks(err.value) == [planted], stream
             strict = fresh(g)
             strict._data[1, planted * g.B + 1] = 42
             with pytest.raises(BlockStateError):
@@ -214,10 +216,15 @@ class TestFusion:
 
 
 class TestDeadWriteElimination:
+    """Plans with dead writes -- a write overwritten before any read,
+    legal only outside simple I/O -- are no whole-portion units: the
+    optimized plan runs them pass by pass, every write included, and
+    must match strict replay."""
+
     def overwrite_plan(self, g):
         """Pass 1 writes memoryload 0 of portion 1; pass 2 overwrites it
         from a different source without reading it -- the first write is
-        dead (legal only outside simple I/O)."""
+        dead."""
         b = PlanBuilder(g)
         b.begin_pass("first")
         slots = b.read_memoryload(0, 0, consume=False)
@@ -231,7 +238,6 @@ class TestDeadWriteElimination:
         g = geometry
         plan = self.overwrite_plan(g)
         op = optimize_plan(plan, simple_io=False)
-        assert op.report.eliminated_write_records == g.M
         strict = fresh(g, simple_io=False)
         execute_plan(strict, plan, engine="strict")
         fast = fresh(g, simple_io=False)
@@ -240,8 +246,8 @@ class TestDeadWriteElimination:
         assert_equivalent(strict, fast)
 
     def test_dead_write_skipping_streams_under_budget(self, geometry):
-        """Masked passes go through the streaming path too: the budget
-        bounds the host buffer and the mask survives segmentation."""
+        """Dead-write passes go through the streaming path too: the
+        budget bounds the host buffer and the result still matches."""
         g = geometry
         b = PlanBuilder(g)
         b.begin_pass("first")
@@ -254,7 +260,6 @@ class TestDeadWriteElimination:
             b.write_memoryload(1, ml, slots)
         plan = b.build()
         op = optimize_plan(plan, simple_io=False)
-        assert op.report.eliminated_write_records == 2 * g.M
         strict = fresh(g, simple_io=False)
         execute_plan(strict, plan, engine="strict")
         fast = fresh(g, simple_io=False)
@@ -263,12 +268,6 @@ class TestDeadWriteElimination:
         assert report.streamed_passes == 2
         assert_equivalent(strict, fast)
 
-    def test_not_applied_under_simple_io(self, geometry):
-        g = geometry
-        plan = self.overwrite_plan(g)
-        op = optimize_plan(plan, simple_io=True)
-        assert op.report.eliminated_write_records == 0
-
     def test_intervening_read_keeps_write(self, geometry):
         g = geometry
         b = PlanBuilder(g)
@@ -276,12 +275,75 @@ class TestDeadWriteElimination:
         slots = b.read_memoryload(0, 0, consume=False)
         b.write_memoryload(1, 0, slots)
         b.begin_pass("reader")
-        b.read_memoryload(1, 0, consume=False)
+        for stripe in g.memoryload_stripes(0):
+            b.read_stripe(1, stripe, consume=False, discard=True)
         b.begin_pass("second")
         slots = b.read_memoryload(0, 1, consume=False)
         b.write_memoryload(1, 0, slots)
-        op = optimize_plan(b.build(), simple_io=False)
-        assert op.report.eliminated_write_records == 0
+        plan = b.build()
+        strict = fresh(g, simple_io=False)
+        execute_plan(strict, plan, engine="strict")
+        fast = fresh(g, simple_io=False)
+        assert optimize_plan(plan, simple_io=False).execute(fast).optimized
+        assert_equivalent(strict, fast)
+
+
+class _Stop(Exception):
+    pass
+
+
+class _Recorder:
+    """A fault hook that records every checkpoint and raises
+    :class:`_Stop` at the ``stop_at``-th ``pass`` checkpoint."""
+
+    def __init__(self, stop_at=None):
+        self.fired = []
+        self.passes = 0
+        self.stop_at = stop_at
+
+    def fire(self, point, label):
+        self.fired.append((point, label))
+        if point == "pass":
+            self.passes += 1
+            if self.passes == self.stop_at:
+                raise _Stop(label)
+
+
+class TestCheckpoints:
+    """A fused unit fires one ``pass`` checkpoint per member, all before
+    its one gather, so deadlines and faults land between plan passes on
+    every engine."""
+
+    def test_fused_chain_fires_one_pass_checkpoint_per_plan_pass(self, geometry):
+        g = geometry
+        plan, _ = multi_pass_plan(g)
+        op = optimize_plan(plan)
+        assert (plan.num_passes, op.report.physical_passes) == (3, 1)
+        want = [("pass", p.label) for p in plan.passes]
+        runs = {
+            "strict": lambda s: execute_plan(s, plan, engine="strict"),
+            "fast": lambda s: execute_plan(s, plan, engine="fast"),
+            "compiled": op.execute,
+        }
+        for name, run in runs.items():
+            recorder = _Recorder()
+            with run_scope(faults=recorder):
+                run(fresh(g))
+            assert recorder.fired == want, name
+
+    def test_stop_at_second_member_leaves_the_unit_unmoved(self, geometry):
+        g = geometry
+        plan, _ = multi_pass_plan(g)
+        op = optimize_plan(plan)
+        for run in (lambda s: execute_plan(s, plan, engine="fast"), op.execute):
+            s = fresh(g)
+            with run_scope(faults=_Recorder(stop_at=2)):
+                with pytest.raises(_Stop, match=re.escape(plan.passes[1].label)):
+                    run(s)
+            assert (s.portion_values(0) == np.arange(g.N)).all()  # source intact
+            assert s._is_empty(s.portion_values(1)).all()  # target empty
+            assert s.stats.passes == []
+            assert s.memory.in_use == 0
 
 
 class TestArtifact:
@@ -392,13 +454,13 @@ class TestArtifact:
         assert_equivalent(strict, fast)
         assert fast.verify_permutation(bit_reversal(g.n), np.arange(g.N), final)
 
-    def test_execute_plan_optimize_knob(self, geometry):
+    def test_execute_plan_fast_runs_the_optimizer(self, geometry):
         g = geometry
         for plan in (multi_pass_plan(g)[0], overlap_plan(g)):
             strict = fresh(g)
             execute_plan(strict, plan, engine="strict")
             fast = fresh(g)
-            report = execute_plan(fast, plan, engine="fast", optimize=True)
+            report = execute_plan(fast, plan, engine="fast")
             assert report.optimized
             assert_equivalent(strict, fast)
 

@@ -56,7 +56,7 @@ HOT = PermutationRequest(
 
 def _strict_digest(request=HOT):
     (ref,) = run_sequential(
-        GEOMETRY, [replace(request, engine="strict", optimize=False)], cache=None
+        GEOMETRY, [replace(request, engine="strict")], cache=None
     )
     assert ref.ok
     return ref.digest
@@ -118,7 +118,7 @@ class TestExecutionKey:
             dict(method="general"),
             dict(seed=7),
             dict(engine="strict"),
-            dict(optimize=False),
+            dict(rank_gamma=1),
             dict(verify=True),
             dict(capture_portion=False),
         ],

@@ -51,9 +51,7 @@ def _workload(repeats: int = 4, capture: bool = True) -> list[PermutationRequest
 
 def _strict_reference(requests) -> list:
     """Sequential, uncached, strict-engine runs: the ground truth."""
-    strict = [
-        replace(r, engine="strict", optimize=False) for r in requests
-    ]
+    strict = [replace(r, engine="strict") for r in requests]
     return run_sequential(GEOMETRY, strict, cache=None)
 
 

@@ -238,6 +238,7 @@ class TestErrorTaxonomy:
         with make_frontend(geometry, workers=1) as fe:
             for field, value in (
                 ("no_such_field", 1), ("backend", "numpy"), ("stream_records", 0),
+                ("optimize", True),
             ):
                 status, body = http_json(
                     "POST", fe.url, "/permutations", {field: value}
@@ -350,16 +351,15 @@ class TestErrorTaxonomy:
             assert status == 200
 
     def test_deadline_exceeded_is_504(self, geometry):
-        # Multi-pass unfused plan + slow passes: the deadline expires
-        # between passes, where the cooperative checkpoint catches it
-        # (optimize would fuse the boundaries away).
+        # Multi-pass plan + slow passes: the deadline expires between
+        # passes, where the cooperative checkpoint catches it (the fast
+        # engine fires one per plan pass, also inside a fused chain).
         with make_frontend(geometry, workers=1, faults=SLOW) as fe:
             status, body = http_json(
                 "POST", fe.url, "/permutations",
                 {
                     "perm": "bit-reversal",
                     "method": "bmmc",
-                    "optimize": False,
                     "verify": False,
                     "timeout": 0.02,
                 },

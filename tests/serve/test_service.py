@@ -38,7 +38,7 @@ def _trivial_compiled(geometry, label="p"):
     builder.begin_pass(label)
     slots = builder.read(0, [0])
     builder.write(1, [0], slots)
-    return compile_plan(geometry, builder.build(), optimize=False)
+    return compile_plan(geometry, builder.build())
 
 
 # --------------------------------------------------------------------------

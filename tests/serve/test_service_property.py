@@ -2,8 +2,8 @@
 sequentially through :func:`repro.serve.run_sequential` -- reports,
 IOStats and final portion bytes included.
 
-Hypothesis draws arbitrary mixes (planner family, method, seed, engine,
-optimize knob); on failure it shrinks toward a minimal request list --
+Hypothesis draws arbitrary mixes (planner family, method, seed,
+engine); on failure it shrinks toward a minimal request list --
 typically the two-request pair whose interaction broke isolation.
 """
 
@@ -41,7 +41,6 @@ def requests_strategy(draw):
         method=method,
         seed=draw(st.integers(0, 2)),
         engine=draw(st.sampled_from(["strict", "fast"])),
-        optimize=draw(st.booleans()),
         verify=True,
         capture_portion=True,
     )
@@ -80,9 +79,7 @@ def test_engine_choice_invisible_in_service(requests):
     """Serving a mix with every request forced strict equals serving it
     forced fast: the engines stay indistinguishable under concurrency."""
     with PermutationService(GEOMETRY, workers=3) as service:
-        strict = service.run(
-            [replace(r, engine="strict", optimize=False) for r in requests]
-        )
+        strict = service.run([replace(r, engine="strict") for r in requests])
     with PermutationService(GEOMETRY, workers=3) as service:
         fast = service.run([replace(r, engine="fast") for r in requests])
     for a, b in zip(strict, fast):

@@ -152,8 +152,10 @@ class TestWorkloadSpec:
         assert again == spec
 
     def test_rejects_unknown_spec_fields(self):
-        with pytest.raises(ValidationError, match="unknown workload spec"):
-            WorkloadSpec.from_dict({"count": 4, "flavour": "spicy"})
+        # "optimize" is gone: the fast engine always runs the optimizer
+        for field, value in (("flavour", "spicy"), ("optimize", True)):
+            with pytest.raises(ValidationError, match=f"unknown workload spec.*{field}"):
+                WorkloadSpec.from_dict({"count": 4, field: value})
 
     def test_geometry_variants(self, geometry):
         variants = geometry_variants(geometry, 3)

@@ -158,13 +158,24 @@ class TestServe:
         assert "no requests" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag", [["--retries", "2"], ["--breaker-threshold", "3"],
-                 ["--breaker-cooldown", "5"]],
-        ids=lambda flag: flag[0],
+        "argv",
+        [
+            pytest.param(["serve", "--count", "1", "--retries", "2"], id="--retries"),
+            pytest.param(
+                ["serve", "--count", "1", "--breaker-threshold", "3"],
+                id="--breaker-threshold",
+            ),
+            pytest.param(
+                ["serve", "--count", "1", "--breaker-cooldown", "5"],
+                id="--breaker-cooldown",
+            ),
+            pytest.param(["serve", "--count", "1", "--no-optimize"], id="--no-optimize"),
+            pytest.param(["run", "--engine", "fast", "--optimize"], id="run--optimize"),
+        ],
     )
-    def test_removed_flag_exits_2(self, flag, capsys):
+    def test_removed_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["serve", "--count", "1", *flag])
+            main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
