@@ -34,6 +34,7 @@ tracking.
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -66,6 +67,11 @@ HUGE_MAX_N = int(os.environ.get("BENCH_HUGE_MAX_N", "24"))
 
 #: Streaming chunk budget for the huge-N runs (records).
 STREAM_BUDGET = 1 << 20
+
+#: Traced host memory a streamed execution may allocate, in bytes per
+#: budget record: five int64 arrays the length of one chunk.  An N-entry
+#: pull index (8N bytes) breaks it at every N in the sweep.
+STREAM_TRACED_BYTES_PER_RECORD = 40
 
 #: Warm cache-hit service must beat cold by at least this factor.
 CACHE_SPEEDUP_FLOOR = float(os.environ.get("BENCH_CACHE_SPEEDUP_FLOOR", "3.0"))
@@ -204,7 +210,11 @@ def test_engine_huge_n_streaming(benchmark):
     stream on the host (O(N)); the streaming executor must keep its
     peak buffer at the chunk budget -- asserted strictly below one full
     pass's stream and at most the requested budget -- while producing a
-    verified permutation with exact 2N/BD-per-pass accounting.
+    verified permutation with exact 2N/BD-per-pass accounting.  A second
+    streamed execution, with the plan's fused metadata already built,
+    runs under ``tracemalloc``: everything it allocates must stay within
+    :data:`STREAM_TRACED_BYTES_PER_RECORD` per budget record, so no
+    N-entry index (such as a whole-portion unit's pull index) is held.
     """
     sweep = [n for n in HUGE_N if n <= HUGE_MAX_N]
     if not sweep:
@@ -247,6 +257,22 @@ def test_engine_huge_n_streaming(benchmark):
             assert s.stats.parallel_ios == g.one_pass_ios
             assert s.memory.peak <= g.M
 
+            # ---- the traced guard: O(budget) host memory, not O(N) ----
+            s.reset()
+            s.fill_identity(0)
+            tracemalloc.start()
+            try:
+                execute_plan(s, plan, engine="fast", stream_records=STREAM_BUDGET)
+                traced_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            traced_bound = STREAM_TRACED_BYTES_PER_RECORD * STREAM_BUDGET
+            assert traced_peak <= traced_bound, (
+                f"streamed execution traced {traced_peak} bytes at N=2^{n}, "
+                f"over {traced_bound} ({STREAM_TRACED_BYTES_PER_RECORD} per "
+                "budget record)"
+            )
+
             rows.append(
                 [
                     f"2^{n}",
@@ -256,6 +282,7 @@ def test_engine_huge_n_streaming(benchmark):
                     f"{t_exec * 1e3:.0f}",
                     report.host_peak_records,
                     f"1/{full_stream // report.host_peak_records}",
+                    f"{traced_peak / 2**20:.1f}",
                 ]
             )
             records.append(
@@ -268,6 +295,8 @@ def test_engine_huge_n_streaming(benchmark):
                     host_peak_records=report.host_peak_records,
                     full_stream_records=full_stream,
                     stream_budget=STREAM_BUDGET,
+                    traced_peak_bytes=traced_peak,
+                    traced_bound_bytes=traced_bound,
                     guard="host_peak_records < full_stream_records",
                 )
             )
@@ -280,7 +309,7 @@ def test_engine_huge_n_streaming(benchmark):
         "BENCH_engine_streaming",
         "huge-N fast execution with liveness streaming (host buffer guard)",
         ["N", "passes", "parallel I/Os", "plan ms", "exec ms",
-         "host peak records", "peak / full stream"],
+         "host peak records", "peak / full stream", "traced MiB"],
         rows,
     )
 

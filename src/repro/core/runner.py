@@ -100,16 +100,21 @@ def perform_permutation(
     are deterministic and ignore it).
 
     The source portion must already hold the canonical payloads
-    (``fill_identity``); verification checks
-    ``target[pi(x)] == x`` afterwards.
+    (``fill_identity``); nothing copies it.  Verification checks
+    ``target[pi(x)] == x`` afterwards
+    (:meth:`~repro.pdm.system.ParallelDiskSystem.verify_permutation` with
+    ``source_values=None``): a BMMC permutation by one sequential compare
+    of the target with its inverse image, an explicit one by a gather.
+    Either way every record of the answer is read.  A source that breaks
+    the precondition reads ``verified=False`` under every method that
+    routes records by address (all but ``general`` and ``distribution``,
+    which route each record by ``pi`` of its payload).
 
     A BMMC permutation's classes and bound table depend only on
     ``(A, c, geometry)``; the last :data:`ANALYSIS_MEMO_SIZE` of them
     are memoized, and every report gets its own copies.
     """
-    g = system.geometry
-    source_values = system.peek(source_portion, 0, g.N)
-    classes, bperm, table = _analyze(perm, g)
+    classes, bperm, table = _analyze(perm, system.geometry)
 
     chosen = method
     if method == "auto":
@@ -177,7 +182,7 @@ def perform_permutation(
 
     verified = True
     if verify:
-        verified = system.verify_permutation(perm, source_values, final)
+        verified = system.verify_permutation(perm, None, final)
 
     return RunReport(
         method=chosen,

@@ -147,7 +147,8 @@ class CompiledPlan:
         """Compile (and memoize) the optimized form on first demand.
 
         Laziness keeps strict-only workloads from paying for the
-        optimizer's N-record pull indexes, which the strict path never runs.
+        optimizer, which the strict path never runs; each unit's N-record
+        pull index waits longer still, for the unit's first gather.
         Compiled plans are shared between concurrent requests (the
         service's whole point), so the first-use compile is serialized
         under a per-entry lock: N racing executions compile once.
@@ -181,7 +182,8 @@ def compile_plan(
     This front-loads every input-independent cost but one: the
     optimized form stays unset until :meth:`CompiledPlan.ensure_optimized`
     (the first fast-engine execution) builds it, so strict-only
-    workloads never pay for its N-record pull indexes.  No
+    workloads never pay for it, and each N-record pull index is
+    composed on its unit's first gather.  No
     :class:`~repro.pdm.system.ParallelDiskSystem` is required -- the
     audit simulates the M-record memory from empty.
     """

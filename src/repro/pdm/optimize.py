@@ -8,7 +8,8 @@ and writes every address of another, so on the host it is one
 permutation of one portion onto another.  :func:`optimize_plan` finds
 these *whole-portion units* statically -- a single such pass, or a
 chain of them that ping-pongs through portions -- and makes one
-rewrite: it composes each unit's address maps into one ``pull`` index.
+rewrite: it composes each unit's address maps into one ``pull`` index,
+on the unit's first gather.
 Pass ``k+1`` reads (consuming) the whole portion pass ``k`` wrote, so
 the write/read round trip through the portion array becomes a
 composition of two address maps, and a chain of ``p`` passes becomes
@@ -41,6 +42,7 @@ outside simple I/O) run pass by pass through the fast engine.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,19 +87,24 @@ class OptimizeReport:
 class _Group:
     """One physical execution unit covering >= 1 original passes.
 
-    A whole-portion unit carries ``pull``: its data movement is
-    ``data[p_out] = data[p_in][pull]``.  Any other group runs its
-    members pass by pass through the fast engine.
+    A whole-portion unit (``p_in`` set) moves its data as
+    ``data[p_out] = data[p_in][pull]``.  Its N-entry ``pull`` index is
+    composed on the unit's first gather (:func:`_unit_pull`) and kept,
+    so an execution that streams the unit's members instead never holds
+    it.  Any other group runs its members pass by pass through the fast
+    engine.
     """
 
-    __slots__ = ("members", "pull", "p_in", "p_out", "targets")
+    __slots__ = ("members", "pull", "p_in", "p_out", "targets", "lock")
 
-    def __init__(self, members, pull=None, p_in=None, p_out=None, targets=()):
+    def __init__(self, members, p_in=None, p_out=None, targets=()):
         self.members = members          # list[_FusedPass], plan order
-        self.pull = pull                # output address -> p_in address
+        self.pull = None                # output address -> p_in address
         self.p_in = p_in                # the portion the first member consumes
         self.p_out = p_out              # the portion the last member writes
         self.targets = targets          # member targets != p_in, once each
+        # Compiled plans are shared between workers; one composes.
+        self.lock = threading.Lock()
 
 
 def _row(portions: np.ndarray, addr: np.ndarray, N: int) -> int | None:
@@ -127,10 +134,9 @@ def _rows(g, f, simple_io: bool) -> tuple[int, int] | None:
     return None if src is None or dst is None else (src, dst)
 
 
-def _check_pull(grp: _Group, N: int) -> None:
+def _check_pull(grp: _Group, pull: np.ndarray, N: int) -> None:
     """The pull index must map one portion into itself (``np.take`` runs
     it unchecked, with ``mode="clip"``)."""
-    pull = grp.pull
     if pull.shape != (N,) or int(pull.min()) < 0 or int(pull.max()) >= N:
         raise PlanError(
             f"unit ending at {grp.members[-1].label!r}: pull index does not "
@@ -138,24 +144,33 @@ def _check_pull(grp: _Group, N: int) -> None:
         )
 
 
-def _whole_portion_unit(g, members, rows) -> _Group:
-    """Compose the members' address maps into one pull index, O(N) each.
+def _whole_portion_unit(members, rows) -> _Group:
+    """A whole-portion unit over ``members``, whose passes read and write
+    the portions ``rows`` names; its pull index waits for a gather."""
+    p_in = rows[0][0]
+    targets = tuple(dict.fromkeys(dst for _, dst in rows if dst != p_in))
+    return _Group(members, p_in=p_in, p_out=rows[-1][1], targets=targets)
+
+
+def _unit_pull(grp: _Group, N: int) -> np.ndarray:
+    """The unit's pull index, composed and range-checked on first use.
 
     Member ``f`` leaves ``data[dst][f.write_addr] =
     data[src][f.read_addr[f.write_source]]``; as a gather over whole
     portions that is ``data[dst] = data[src][step]``, and a chain of
-    gathers composes as ``pull[step]``.
+    gathers composes as ``pull[step]``: O(N) per member.
     """
-    pull = None
-    for f in members:
-        step = np.empty(g.N, dtype=np.int64)
-        step[f.write_addr] = f.read_addr[f.write_source]
-        pull = step if pull is None else pull[step]
-    p_in = rows[0][0]
-    targets = tuple(dict.fromkeys(dst for _, dst in rows if dst != p_in))
-    grp = _Group(members, pull=pull, p_in=p_in, p_out=rows[-1][1], targets=targets)
-    _check_pull(grp, g.N)
-    return grp
+    if grp.pull is None:
+        with grp.lock:
+            if grp.pull is None:
+                pull = None
+                for f in grp.members:
+                    step = np.empty(N, dtype=np.int64)
+                    step[f.write_addr] = f.read_addr[f.write_source]
+                    pull = step if pull is None else pull[step]
+                _check_pull(grp, pull, N)
+                grp.pull = pull
+    return grp.pull
 
 
 def optimize_plan(
@@ -193,7 +208,7 @@ def optimize_plan(
                 and rows[j][0] == rows[j - 1][1]
             ):
                 j += 1
-            groups.append(_whole_portion_unit(g, fused[i:j], rows[i:j]))
+            groups.append(_whole_portion_unit(fused[i:j], rows[i:j]))
             links += j - i - 1
         i = j
 
@@ -239,21 +254,21 @@ class OptimizedPlan:
         structural violation, returns a summary dict otherwise.
 
         Checks: every member of a whole-portion unit reads and writes N
-        records, every unit's pull index maps one portion into itself,
-        and the pass list the optimized executor will report equals the
-        original plan's.
+        records, every unit's pull index (composed here if no execution
+        has gathered yet) maps one portion into itself, and the pass list
+        the optimized executor will report equals the original plan's.
         """
         N = self.geometry.N
         total_passes = 0
         for grp in self.groups:
             total_passes += len(grp.members)
-            if grp.pull is not None:
+            if grp.p_in is not None:
                 for f in grp.members:
                     if f.read_addr.size != N or f.write_addr.size != N:
                         raise PlanError(
                             f"unit member {f.label!r} does not move a whole portion"
                         )
-                _check_pull(grp, N)
+                _check_pull(grp, _unit_pull(grp, N), N)
         if total_passes != len(self._fused) or total_passes != self.plan.num_passes:
             raise PlanError("optimized groups do not cover the plan's passes")
         return {
@@ -307,7 +322,7 @@ class OptimizedPlan:
             members = grp.members
             group_mems = mems[start : start + len(members)]
             start += len(members)
-            if grp.pull is not None and (budget is None or g.N <= budget):
+            if grp.p_in is not None and (budget is None or g.N <= budget):
                 # Every member's pass boundary comes before the one
                 # gather, so a stop there leaves the unit unmoved.
                 for f in members:
@@ -353,10 +368,11 @@ def _run_unit(system: ParallelDiskSystem, grp: _Group) -> None:
             raise BlockStateError(
                 f"writing to non-empty blocks under simple I/O: {list(bad)}"
             )
-    # _check_pull bounded the index at compile time; "clip" skips the
-    # per-call range check and the output buffer "raise" would need.
+    # _check_pull bounded the index when it was composed; "clip" skips
+    # the per-call range check and the output buffer "raise" would need.
+    pull = _unit_pull(grp, g.N)
     if grp.p_out == grp.p_in:
-        data[grp.p_out] = np.take(src, grp.pull, mode="clip")
+        data[grp.p_out] = np.take(src, pull, mode="clip")
     else:
-        np.take(src, grp.pull, out=data[grp.p_out], mode="clip")
+        np.take(src, pull, out=data[grp.p_out], mode="clip")
         src.fill(system.empty)

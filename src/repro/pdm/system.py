@@ -98,6 +98,7 @@ class ParallelDiskSystem:
         self.memory = Memory(geometry.M)
         self.stats = IOStats()
         self._data = np.full((portions, geometry.N), self.empty, dtype=self.dtype)
+        self._identity: np.ndarray | None = None
         self._observers: list[Callable[[IOEvent], None]] = []
 
     def _is_empty(self, values: np.ndarray) -> np.ndarray:
@@ -108,9 +109,23 @@ class ParallelDiskSystem:
         return values == self.empty
 
     # -------------------------------------------------------------- contents
+    def _identity_values(self) -> np.ndarray:
+        """The canonical payloads ``[0, ..., N-1]`` in the system's dtype,
+        built on first use and kept (read-only) for the system's life."""
+        identity = self._identity
+        if identity is None:
+            identity = np.arange(self.geometry.N).astype(self.dtype)
+            identity.flags.writeable = False
+            self._identity = identity
+        return identity
+
     def fill_identity(self, portion: int = 0) -> None:
-        """Load record payloads equal to their addresses (the canonical input)."""
-        self._data[portion] = np.arange(self.geometry.N)  # cast on assignment
+        """Load record payloads equal to their addresses (the canonical input).
+
+        One copy from the system's identity array, which is built once in
+        the system's dtype.
+        """
+        self._data[portion] = self._identity_values()
 
     def fill(self, portion: int, values: Sequence[int] | np.ndarray) -> None:
         values = np.asarray(values, dtype=self.dtype)
@@ -140,6 +155,16 @@ class ParallelDiskSystem:
     def portion_values(self, portion: int) -> np.ndarray:
         """Copy of a portion's payloads, indexed by address."""
         return self._data[portion].copy()
+
+    def portion_view(self, portion: int) -> np.ndarray:
+        """Read-only view of a portion's payloads, indexed by address.
+
+        No copy: the view is the portion's contiguous row (hashlib reads
+        its buffer directly) and sees every later write to the portion.
+        """
+        view = self._data[portion]
+        view.flags.writeable = False
+        return view
 
     def block_values(self, portion: int, block_id: int) -> np.ndarray:
         """Peek at a block without performing an I/O (for tests/rendering)."""
@@ -292,7 +317,7 @@ class ParallelDiskSystem:
     def verify_permutation(
         self,
         perm,
-        source_values: np.ndarray,
+        source_values: np.ndarray | None,
         target_portion: int,
     ) -> bool:
         """Check that ``target[perm(x)] == source_values[x]`` for every ``x``.
@@ -300,14 +325,26 @@ class ParallelDiskSystem:
         ``perm`` is any object with ``target_vector`` (every
         :class:`~repro.perms.base.Permutation` has one); this is a
         model-level correctness check, not an I/O-counted operation.
+
+        ``source_values=None`` names the canonical source, the payloads
+        :meth:`fill_identity` loads, so the check is
+        ``target[perm(x)] == x``.  For a BMMC permutation ``y = A x (+) c``
+        (an object with a ``complement`` and an ``inverse()``) that holds
+        exactly when ``target[y] == A^-1 (y (+) c)`` for every ``y``, so
+        the target is compared in address order with the inverse's
+        image, built by doubling (:func:`~repro.bits.bitops.affine_image`):
+        one sequential read of every record instead of a gather at ``N``
+        scattered addresses.  Any other permutation gathers
+        ``target[perm(x)]`` and compares it with the identity array.
         """
-        ys = perm.target_vector()
-        return bool(
-            (
-                self._data[target_portion][ys]
-                == np.asarray(source_values, dtype=self.dtype)
-            ).all()
-        )
+        target = self._data[target_portion]
+        if source_values is None:
+            if hasattr(perm, "complement"):
+                return bool((target == perm.inverse().target_vector()).all())
+            source_values = self._identity_values()
+        else:
+            source_values = np.asarray(source_values, dtype=self.dtype)
+        return bool((target[perm.target_vector()] == source_values).all())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

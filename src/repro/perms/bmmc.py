@@ -6,7 +6,7 @@ algebra the paper builds on:
 
 * Lemma 1 / Corollary 2 -- composition is matrix product (complement
   vectors compose as ``c = A_2 c_1 (+) c_2``);
-* inverse -- ``x = A^{-1} y (+) A^{-1} c``;
+* inverse -- ``x = A^{-1} y (+) A^{-1} c``, built once per object;
 * Lemma 9's fixed-point machinery -- ``|Pre(A (+) I, c)|`` counts the
   fixed points, which is how the tests validate the universal lower
   bound's "at least N/2 records move" argument.
@@ -40,6 +40,7 @@ class BMMCPermutation(Permutation):
             )
         self.matrix = matrix
         self.complement = int(complement)
+        self._inverse: BMMCPermutation | None = None
 
     # -------------------------------------------------------------- protocol
     def apply(self, x: int) -> int:
@@ -52,6 +53,20 @@ class BMMCPermutation(Permutation):
         return bitops.affine_image(self.matrix, self.complement)
 
     def inverse(self) -> "BMMCPermutation":
+        """``x = A^{-1} y (+) A^{-1} c``, the same object on every call.
+
+        Built on the first call and kept, so a shared permutation (the
+        named ones :func:`~repro.serve.requests.make_permutation` memoizes)
+        pays the GF(2) inversion once.  Only the ``n x n`` matrix is
+        kept, never the ``N``-entry image.  Two threads that race on the
+        first call build equal inverses; either one may be kept.
+        """
+        inv = self._inverse
+        if inv is None:
+            inv = self._inverse = self._build_inverse()
+        return inv
+
+    def _build_inverse(self) -> "BMMCPermutation":
         inv = linalg.inverse(self.matrix)
         return BMMCPermutation(inv, inv.mulvec(self.complement), validate=False)
 

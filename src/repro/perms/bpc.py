@@ -53,7 +53,9 @@ class BPCPermutation(BMMCPermutation):
                 y |= 1 << t
         return y ^ self.complement
 
-    def inverse(self) -> "BPCPermutation":
+    def _build_inverse(self) -> "BPCPermutation":
+        """The inverse bit permutation, built once per object by
+        :meth:`BMMCPermutation.inverse` (which returns it on every call)."""
         inv = [0] * self.n
         for j, t in enumerate(self.target_of):
             inv[t] = j

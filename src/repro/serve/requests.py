@@ -321,9 +321,9 @@ def _execute_request(
     )
     digest = None
     if request.capture_portion:
-        # hashlib reads the contiguous copy's buffer directly
+        # hashlib reads the portion's contiguous row in place
         digest = hashlib.sha256(
-            system.portion_values(report.final_portion)
+            system.portion_view(report.final_portion)
         ).hexdigest()
     return report, digest
 

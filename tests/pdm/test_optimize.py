@@ -1,6 +1,9 @@
 """Tests for the plan-level optimizer (:mod:`repro.pdm.optimize`)."""
 
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from repro.errors import BlockStateError, MemoryCapacityError, PlanError
 from repro.pdm.cancel import run_scope
 from repro.pdm.engine import execute_plan
 from repro.pdm.geometry import DiskGeometry
+from repro.pdm import optimize
 from repro.pdm.optimize import optimize_plan
 from repro.pdm.schedule import PlanBuilder
 from repro.pdm.system import EMPTY, ParallelDiskSystem
@@ -358,6 +362,7 @@ class TestArtifact:
     def test_verify_catches_corruption(self, geometry):
         plan, _ = multi_pass_plan(geometry)
         op = optimize_plan(plan)
+        op.verify()  # composes every unit's pull index
         group = next(grp for grp in op.groups if grp.pull is not None)
         pull = group.pull
         group.pull = pull[:-1]  # corrupt
@@ -367,6 +372,52 @@ class TestArtifact:
         group.pull[0] = geometry.N  # escapes the portion
         with pytest.raises(PlanError):
             op.verify()
+
+    def test_racing_first_gathers_compose_the_pull_index_once(self, geometry, monkeypatch):
+        """Compiled plans are shared between workers: eight threads that
+        race to a unit's first gather compose its pull index once, and
+        every execution matches strict."""
+        g = geometry
+        plan, _ = multi_pass_plan(g)
+        op = optimize_plan(plan)
+        strict = fresh(g)
+        execute_plan(strict, plan, engine="strict")
+
+        composed = []
+        check = optimize._check_pull
+
+        def counting_check(grp, pull, N):  # runs once per composition
+            composed.append(pull)
+            time.sleep(0.01)  # let racing threads reach the unit meanwhile
+            check(grp, pull, N)
+
+        monkeypatch.setattr(optimize, "_check_pull", counting_check)
+        systems = [fresh(g) for _ in range(8)]
+        barrier = threading.Barrier(len(systems))
+        errors = []
+
+        def worker(s):
+            try:
+                barrier.wait(timeout=10)
+                op.execute(s)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in systems]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(composed) == 1
+        for s in systems:
+            assert_equivalent(strict, s)
 
     def test_capacity_checked_on_every_execution(self, geometry):
         """Each execution checks memory from the records resident at its

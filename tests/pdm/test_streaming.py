@@ -1,5 +1,7 @@
 """Streaming fast execution, discard reads, and ExecReport plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,28 @@ class TestStreaming:
         assert report.host_peak_records < g.N  # below one full read stream
         assert_equivalent(strict, fast)
         assert fast.verify_permutation(rev, np.arange(g.N), final)
+
+    def test_streamed_unit_composes_no_pull_index(self):
+        """A budget below N streams a whole-portion unit member by member,
+        so the unit's N-entry pull index is never composed: the traced
+        peak of a streamed execution is at most half an unstreamed one's,
+        which composes that index on its gather."""
+        g = DiskGeometry(N=2**14, B=2**3, D=2**2, M=2**7)
+        perm = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, np.random.default_rng(0)))
+        plan = plan_mld_pass(g, perm)
+        peaks = {}
+        for budget in (g.M, 0):
+            # A first execution builds the plan's fused metadata.
+            execute_plan(fresh(g), plan, engine="fast", stream_records=budget)
+            s = fresh(g)
+            tracemalloc.start()
+            try:
+                execute_plan(s, plan, engine="fast", stream_records=budget)
+                peaks[budget] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert s.verify_permutation(perm, np.arange(g.N), 1)
+        assert peaks[g.M] <= peaks[0] / 2, peaks
 
     def test_budget_sweep_all_equivalent(self, geometry):
         g = geometry
