@@ -73,6 +73,12 @@ STREAM_BUDGET = 1 << 20
 #: pull index (8N bytes) breaks it at every N in the sweep.
 STREAM_TRACED_BYTES_PER_RECORD = 40
 
+#: Fused metadata a plan keeps per pass, in bytes per record: three
+#: N-entry int64 arrays (read and write addresses, write sources).  The
+#: first, fusing, streamed execution may trace this per record of N on
+#: top of the streamed bound; two more per-record arrays break it.
+FUSED_BYTES_PER_RECORD = 24
+
 #: Warm cache-hit service must beat cold by at least this factor.
 CACHE_SPEEDUP_FLOOR = float(os.environ.get("BENCH_CACHE_SPEEDUP_FLOOR", "3.0"))
 
@@ -210,11 +216,13 @@ def test_engine_huge_n_streaming(benchmark):
     stream on the host (O(N)); the streaming executor must keep its
     peak buffer at the chunk budget -- asserted strictly below one full
     pass's stream and at most the requested budget -- while producing a
-    verified permutation with exact 2N/BD-per-pass accounting.  A second
-    streamed execution, with the plan's fused metadata already built,
-    runs under ``tracemalloc``: everything it allocates must stay within
+    verified permutation with exact 2N/BD-per-pass accounting.  Both
+    streamed executions run under ``tracemalloc``.  The second, with the
+    plan's fused metadata already built, must stay within
     :data:`STREAM_TRACED_BYTES_PER_RECORD` per budget record, so no
     N-entry index (such as a whole-portion unit's pull index) is held.
+    The first, which fuses the pass, may add
+    :data:`FUSED_BYTES_PER_RECORD` per record of N.
     """
     sweep = [n for n in HUGE_N if n <= HUGE_MAX_N]
     if not sweep:
@@ -237,11 +245,16 @@ def test_engine_huge_n_streaming(benchmark):
 
             s = ParallelDiskSystem(g)
             s.fill_identity(0)
-            t0 = time.perf_counter()
-            report = execute_plan(
-                s, plan, engine="fast", stream_records=STREAM_BUDGET
-            )
-            t_exec = time.perf_counter() - t0
+            tracemalloc.start()
+            try:
+                t0 = time.perf_counter()
+                report = execute_plan(
+                    s, plan, engine="fast", stream_records=STREAM_BUDGET
+                )
+                t_exec = time.perf_counter() - t0
+                fusing_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
             # ---- the guard: streaming engaged, host buffer bounded ----
             full_stream = g.N  # one pass reads every record once
@@ -257,7 +270,17 @@ def test_engine_huge_n_streaming(benchmark):
             assert s.stats.parallel_ios == g.one_pass_ios
             assert s.memory.peak <= g.M
 
-            # ---- the traced guard: O(budget) host memory, not O(N) ----
+            # ---- the traced guards: O(budget) host memory per execution,
+            # plus the fused metadata the first execution builds ----
+            fusing_bound = (
+                FUSED_BYTES_PER_RECORD * g.N
+                + STREAM_TRACED_BYTES_PER_RECORD * STREAM_BUDGET
+            )
+            assert fusing_peak <= fusing_bound, (
+                f"fusing streamed execution traced {fusing_peak} bytes at "
+                f"N=2^{n}, over {fusing_bound} ({FUSED_BYTES_PER_RECORD} per "
+                f"record + {STREAM_TRACED_BYTES_PER_RECORD} per budget record)"
+            )
             s.reset()
             s.fill_identity(0)
             tracemalloc.start()
@@ -282,6 +305,7 @@ def test_engine_huge_n_streaming(benchmark):
                     f"{t_exec * 1e3:.0f}",
                     report.host_peak_records,
                     f"1/{full_stream // report.host_peak_records}",
+                    f"{fusing_peak / 2**20:.1f}",
                     f"{traced_peak / 2**20:.1f}",
                 ]
             )
@@ -295,6 +319,8 @@ def test_engine_huge_n_streaming(benchmark):
                     host_peak_records=report.host_peak_records,
                     full_stream_records=full_stream,
                     stream_budget=STREAM_BUDGET,
+                    fusing_traced_peak_bytes=fusing_peak,
+                    fusing_traced_bound_bytes=fusing_bound,
                     traced_peak_bytes=traced_peak,
                     traced_bound_bytes=traced_bound,
                     guard="host_peak_records < full_stream_records",
@@ -309,7 +335,8 @@ def test_engine_huge_n_streaming(benchmark):
         "BENCH_engine_streaming",
         "huge-N fast execution with liveness streaming (host buffer guard)",
         ["N", "passes", "parallel I/Os", "plan ms", "exec ms",
-         "host peak records", "peak / full stream", "traced MiB"],
+         "host peak records", "peak / full stream", "fusing traced MiB",
+         "traced MiB"],
         rows,
     )
 

@@ -83,6 +83,13 @@ STREAM_AUTO_RECORDS = 1 << 22
 
 _I64_MAX = np.iinfo(np.int64).max
 
+#: The per-pass I/O counters, as :meth:`IOStats.record_pass_batch` and
+#: :class:`PlanCheck` name them.
+_IO_COUNTS = (
+    "parallel_reads", "parallel_writes", "striped_reads", "striped_writes",
+    "blocks_read", "blocks_written",
+)
+
 
 @dataclass(frozen=True)
 class PlanCheck:
@@ -130,10 +137,11 @@ class _FusedPass:
         "label", "num_steps",
         "read_ids", "read_sizes", "read_portions", "read_striped",
         "read_consume_default", "read_consume_value", "read_discard",
-        "read_addr", "rec_read_portion",
+        "read_addr",
         "write_ids", "write_sizes", "write_portions", "write_striped",
-        "write_addr", "write_source", "rec_write_portion",
+        "write_addr", "write_source",
         "write_source_max", "write_source_min",
+        "io_counts",  # the pass's IOStats counters (record_pass_batch kwargs)
         "is_read", "step_sizes", "reads_before",
         "read_before", "write_before", "read_rec_cum", "write_rec_cum",
         # memory effect relative to the records resident when the pass
@@ -239,8 +247,14 @@ def _fuse_pass(g: DiskGeometry, pas: PlanPass) -> _FusedPass:
     offsets = np.arange(B, dtype=np.int64)[None, :]
     f.read_addr = ((f.read_ids[:, None] << g.b) + offsets).reshape(-1)
     f.write_addr = ((f.write_ids[:, None] << g.b) + offsets).reshape(-1)
-    f.rec_read_portion = np.repeat(f.read_portions, f.read_sizes * B)
-    f.rec_write_portion = np.repeat(f.write_portions, f.write_sizes * B)
+    f.io_counts = dict(
+        parallel_reads=int(f.read_sizes.size),
+        parallel_writes=int(f.write_sizes.size),
+        striped_reads=int(f.read_striped.sum()),
+        striped_writes=int(f.write_striped.sum()),
+        blocks_read=int(f.read_sizes.sum()),
+        blocks_written=int(f.write_sizes.sum()),
+    )
     _simulate_memory(B, f)
 
     pas._fused["fused"] = f
@@ -334,7 +348,7 @@ def _check_fusable(
     written = read = None
     if f.write_ids.size:
         written = np.bincount(
-            f.rec_write_portion[:: g.B] * g.num_blocks + f.write_ids,
+            np.repeat(f.write_portions, f.write_sizes) * g.num_blocks + f.write_ids,
             minlength=span,
         )
         if written.max() > 1:
@@ -343,7 +357,7 @@ def _check_fusable(
                 "reorder the writes -- use the strict engine"
             )
     if f.read_ids.size:
-        rkeys = f.rec_read_portion[:: g.B] * g.num_blocks + f.read_ids
+        rkeys = np.repeat(f.read_portions, f.read_sizes) * g.num_blocks + f.read_ids
         read = np.bincount(rkeys, minlength=span)
         if read.max() > 1:
             block_consume = np.repeat(
@@ -428,14 +442,9 @@ def _check_memory(
 def _plan_check(fused: list[_FusedPass], peak: int, net: int) -> PlanCheck:
     return PlanCheck(
         passes=len(fused),
-        parallel_reads=int(sum(f.read_sizes.size for f in fused)),
-        parallel_writes=int(sum(f.write_sizes.size for f in fused)),
-        striped_reads=int(sum(int(f.read_striped.sum()) for f in fused)),
-        striped_writes=int(sum(int(f.write_striped.sum()) for f in fused)),
-        blocks_read=int(sum(int(f.read_sizes.sum()) for f in fused)),
-        blocks_written=int(sum(int(f.write_sizes.sum()) for f in fused)),
         peak_memory_records=peak,
         net_memory_records=net,
+        **{name: sum(f.io_counts[name] for f in fused) for name in _IO_COUNTS},
     )
 
 
@@ -561,21 +570,20 @@ def _execute_strict(
 
 
 # ----------------------------------------------------------------- fast mode
-def _portion_groups(portions: np.ndarray, rec_portions: np.ndarray):
-    """Yield ``(portion, record_indexer)`` pairs; a full slice when uniform."""
+def _portion_groups(portions: np.ndarray, sizes: np.ndarray, B: int):
+    """``(portion, record_indexer)`` pairs for steps of ``sizes`` blocks
+    touching ``portions``: one full slice when uniform (every
+    planner-emitted pass), else a per-record mask built here."""
     uniq = np.unique(portions)
     if uniq.size <= 1:
-        if uniq.size:
-            yield int(uniq[0]), slice(None)
-        return
-    for p in uniq:
-        yield int(p), rec_portions == p
+        return [(int(p), slice(None)) for p in uniq]
+    rec_portions = np.repeat(portions, sizes * B)
+    return [(int(p), rec_portions == p) for p in uniq]
 
 
 def _require_write_targets_empty(
     system: ParallelDiskSystem,
-    write_portions: np.ndarray,
-    rec_wport: np.ndarray,
+    write_groups: list,
     write_addr: np.ndarray,
 ) -> None:
     """The simple-I/O write-to-empty rule, vectorized over record addrs.
@@ -586,7 +594,7 @@ def _require_write_targets_empty(
     """
     g = system.geometry
     data = system._data
-    for portion, idx in _portion_groups(write_portions, rec_wport):
+    for portion, idx in write_groups:
         if isinstance(idx, slice):
             values = data[portion][write_addr]
         else:
@@ -700,10 +708,9 @@ def _apply_segment(
     wrec0, wrec1 = int(f.write_rec_cum[w0]), int(f.write_rec_cum[w1])
 
     read_addr = f.read_addr[rec0:rec1]
-    rec_rport = f.rec_read_portion[rec0:rec1]
-    read_portions = f.read_portions[r0:r1]
+    read_groups = _portion_groups(f.read_portions[r0:r1], f.read_sizes[r0:r1], B)
     stream = np.empty(rec1 - rec0, dtype=system.dtype)
-    for portion, idx in _portion_groups(read_portions, rec_rport):
+    for portion, idx in read_groups:
         if isinstance(idx, slice):
             np.take(data[portion], read_addr, out=stream)
         else:
@@ -725,15 +732,14 @@ def _apply_segment(
             )
 
     write_addr = f.write_addr[wrec0:wrec1]
-    rec_wport = f.rec_write_portion[wrec0:wrec1]
-    write_portions = f.write_portions[w0:w1]
+    write_groups = _portion_groups(f.write_portions[w0:w1], f.write_sizes[w0:w1], B)
     if system.simple_io and write_addr.size:
-        _require_write_targets_empty(system, write_portions, rec_wport, write_addr)
+        _require_write_targets_empty(system, write_groups, write_addr)
 
     # Mutate: consume sources, then scatter targets (disjoint by the
     # fusability check, so ordering is immaterial).
     if any_consume:
-        for portion, idx in _portion_groups(read_portions, rec_rport):
+        for portion, idx in read_groups:
             if isinstance(idx, slice):
                 addr = read_addr if all_consume else read_addr[rec_consume]
                 data[portion][addr] = system.empty
@@ -745,7 +751,7 @@ def _apply_segment(
         if rec0:
             src = src - rec0
         out = stream[src]
-        for portion, idx in _portion_groups(write_portions, rec_wport):
+        for portion, idx in write_groups:
             if isinstance(idx, slice):
                 data[portion][write_addr] = out
             else:
@@ -754,16 +760,9 @@ def _apply_segment(
 
 
 def _finish_pass(system: ParallelDiskSystem, f: _FusedPass, mem: _PassMemory) -> None:
-    """Bulk-record one fused pass's stats and memory effect."""
-    system.stats.record_pass_batch(
-        f.label,
-        parallel_reads=int(f.read_sizes.size),
-        parallel_writes=int(f.write_sizes.size),
-        striped_reads=int(f.read_striped.sum()),
-        striped_writes=int(f.write_striped.sum()),
-        blocks_read=int(f.read_sizes.sum()),
-        blocks_written=int(f.write_sizes.sum()),
-    )
+    """Bulk-record one fused pass's stats (counted once, at fusion) and
+    memory effect."""
+    system.stats.record_pass_batch(f.label, **f.io_counts)
     system.memory.in_use += mem.net
     if mem.peak > system.memory.peak:
         system.memory.peak = mem.peak

@@ -135,6 +135,19 @@ def _named_bmmc(
     raise ValidationError(f"unknown permutation {name!r}")
 
 
+@functools.lru_cache(maxsize=PERMUTATION_MEMO_SIZE)
+def _verified_digest(
+    name: str, geometry: DiskGeometry, seed: int, rank_gamma: int | None
+) -> str:
+    """SHA-256 of the one answer a verified request for a named BMMC
+    permutation can leave: its inverse image ``A^-1 (y (+) c)``, the
+    int64 vector the target must equal for ``verify_permutation`` to
+    pass.  Keyed like :func:`_named_bmmc`; each entry is one hex string.
+    """
+    perm = _named_bmmc(name, geometry, seed, rank_gamma)
+    return hashlib.sha256(perm.inverse().target_vector()).hexdigest()
+
+
 @dataclass(frozen=True)
 class PermutationRequest:
     """One unit of service work, as a pure value.
@@ -147,6 +160,11 @@ class PermutationRequest:
     keys).  ``capture_portion`` asks the worker for a SHA-256 digest of
     the final portion's bytes -- the byte-identity handle the
     differential suites compare against sequential reference runs.
+    With ``verify`` on and a named BMMC permutation, a passed check
+    proves the portion equals the permutation's inverse image, so the
+    digest of those bytes is computed once per named permutation and
+    reused (see :func:`_execute_request`); the suites that check bytes
+    independently run with ``verify=False`` and hash every answer.
 
     ``timeout`` bounds the request in *seconds from admission* (queue
     wait counts -- a deadline is a promise to the client, not to the
@@ -246,8 +264,11 @@ class ServiceResult:
     """What the service hands back for one request.
 
     Exactly one of ``report``/``error`` is set.  ``digest`` is the
-    SHA-256 of the final portion (requests with ``capture_portion``),
-    ``worker`` the executing thread's name, ``elapsed`` wall seconds.
+    SHA-256 of the final portion's bytes (requests with
+    ``capture_portion``).  For a verified named BMMC request it is the
+    memoized hash of the permutation's inverse image, the same bytes:
+    the passed check proved the int64 portion equal to that image.
+    ``worker`` is the executing thread's name, ``elapsed`` wall seconds.
     ``attempts`` counts executions: 1 = executed (every request
     executes at most once); 0 = never executed -- shed by admission
     control, expired while still queued, or coalesced onto a leader's
@@ -301,6 +322,16 @@ def _execute_request(
 ) -> tuple[RunReport, str | None]:
     """Run one request on a clean system; shared by workers and the
     sequential reference.  The system must already be reset.
+
+    The digest (``capture_portion``) is the SHA-256 of the final
+    portion's bytes.  A request that asked for verification and passed
+    it, for a named BMMC permutation (every name but ``"random"``) on an
+    int64 system, takes it from :func:`_verified_digest` instead: the
+    check compared every record with the inverse image, so the portion
+    holds exactly that int64 vector, and its hash is computed once per
+    ``(name, geometry, seed, rank_gamma)``.  Every other request -- no
+    verification, a failed check, ``"random"``, a ready permutation
+    object, another dtype -- hashes the portion it left.
     """
     system.fill_identity(request.source_portion)
     perm = request.perm
@@ -321,10 +352,21 @@ def _execute_request(
     )
     digest = None
     if request.capture_portion:
-        # hashlib reads the portion's contiguous row in place
-        digest = hashlib.sha256(
-            system.portion_view(report.final_portion)
-        ).hexdigest()
+        if (
+            request.verify
+            and report.verified
+            and isinstance(request.perm, str)
+            and request.perm != "random"
+            and system.dtype == np.int64
+        ):
+            digest = _verified_digest(
+                request.perm, system.geometry, request.seed, request.rank_gamma
+            )
+        else:
+            # hashlib reads the portion's contiguous row in place
+            digest = hashlib.sha256(
+                system.portion_view(report.final_portion)
+            ).hexdigest()
     return report, digest
 
 

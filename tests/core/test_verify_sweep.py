@@ -7,9 +7,16 @@ the target with its inverse image ``A^-1 (y (+) c)``; an explicit one by
 a gather compared with the identity array.  These tests hold both to the
 reference the test computes itself, by gather, on every named
 permutation, every method that applies, three seeds and two geometries.
+
+The digest a request captures is the SHA-256 of its final portion's
+bytes.  A verified request for a named BMMC permutation takes it from a
+memo (the check proved the bytes); the tests below hold every other
+request to hashing the bytes it left, corrupted ones included.
 """
 
 import hashlib
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +25,16 @@ from repro.core.runner import perform_permutation
 from repro.pdm.cache import PlanCache
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.system import ParallelDiskSystem
+from repro.perms import library
 from repro.perms.bmmc import BMMCPermutation
 from repro.perms.classify import PermClass, classify
+from repro.serve import requests
 from repro.serve.requests import (
     PERM_CHOICES,
     PermutationRequest,
     _MIX_TEMPLATES,
     _execute_request,
+    _verified_digest,
     make_permutation,
 )
 
@@ -113,17 +123,123 @@ def test_non_canonical_source(name):
             assert report.verified is False, method
 
 
-@pytest.mark.parametrize("name, method", _MIX_TEMPLATES)
-def test_digest_hashes_the_final_portion(name, method):
+def sha256_of(system, portion):
+    return hashlib.sha256(system.portion_values(portion)).hexdigest()
+
+
+def count_sha256(monkeypatch) -> list:
+    """Count the calls to ``hashlib.sha256`` made from the request module."""
+    calls = []
+
+    def sha256(data):
+        calls.append(1)
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(requests, "hashlib", types.SimpleNamespace(sha256=sha256))
+    return calls
+
+
+def digest_cases():
+    for name, method in _MIX_TEMPLATES + [("random", "auto"), ("object", "auto")]:
+        yield pytest.param(name, method, True, id=f"{name}-{method}")
+        yield pytest.param(name, method, False, id=f"{name}-{method}-no-verify")
+
+
+@pytest.mark.parametrize("name, method, verify", list(digest_cases()))
+def test_digest_hashes_the_final_portion(name, method, verify, monkeypatch):
+    """A cold and a warm request: the digest is the hash of the final
+    portion's bytes either way.  Only the warm repeat of a verified
+    named BMMC request hashes nothing; the cold one filled the memo with
+    one hash.  ``random`` and a ready permutation object always hash."""
     g = GEOMETRIES[1]
-    system = ParallelDiskSystem(g)
+    perm = library.gray_code(g.n) if name == "object" else name
+    memoized = verify and name not in ("random", "object")
     request = PermutationRequest(
+        perm=perm, method=method, seed=2, geometry=g, verify=verify,
+        capture_portion=True,
+    )
+    _verified_digest.cache_clear()
+    calls = count_sha256(monkeypatch)
+    cache = PlanCache()
+    for warm in (False, True):
+        calls.clear()
+        system = ParallelDiskSystem(g)
+        report, digest = _execute_request(system, request, cache)
+        assert report.verified
+        assert digest == sha256_of(system, report.final_portion)
+        assert len(calls) == (0 if warm and memoized else 1), warm
+
+
+@pytest.mark.parametrize("verify", [True, False], ids=["verify", "no-verify"])
+@pytest.mark.parametrize(
+    "name, method", [("random-bmmc", "bmmc"), ("bit-reversal", "auto")]
+)
+def test_planted_corruption_is_hashed_with_the_memo_warm(
+    name, method, verify, monkeypatch
+):
+    """Two swapped records reach the digest even when the memo already
+    holds the clean answer's: under ``verify=True`` the check fails, so
+    the memo is not used; under ``verify=False`` it is never used."""
+    g = GEOMETRIES[1]
+    clean = PermutationRequest(
         perm=name, method=method, seed=2, geometry=g, capture_portion=True
+    )
+    cache = PlanCache()
+    _, clean_digest = _execute_request(ParallelDiskSystem(g), clean, cache)
+    assert _verified_digest(name, g, 2, None) == clean_digest  # warm
+
+    rng = np.random.default_rng(7)
+    if verify:
+        check = ParallelDiskSystem.verify_permutation
+
+        def swap_then_verify(system, perm, source_values, target_portion):
+            swap_two_records(system, target_portion, rng)
+            return check(system, perm, source_values, target_portion)
+
+        monkeypatch.setattr(ParallelDiskSystem, "verify_permutation", swap_then_verify)
+    else:
+        perform = requests.perform_permutation
+
+        def perform_then_swap(system, *args, **kwargs):
+            report = perform(system, *args, **kwargs)
+            swap_two_records(system, report.final_portion, rng)
+            return report
+
+        monkeypatch.setattr(requests, "perform_permutation", perform_then_swap)
+
+    system = ParallelDiskSystem(g)
+    report, digest = _execute_request(system, replace(clean, verify=verify), cache)
+    assert report.verified is not verify  # the check ran and failed, or was skipped
+    assert digest == sha256_of(system, report.final_portion)
+    assert digest != clean_digest
+
+
+@pytest.mark.parametrize("g", GEOMETRIES, ids=[f"B{g.B}" for g in GEOMETRIES])
+@pytest.mark.parametrize("name", [n for n in PERM_CHOICES if n != "random"])
+def test_memo_equals_an_independent_answer(name, g):
+    """The memo entry is the hash of ``a[pi(x)] = x``, built here by a
+    scatter of the permutation's own target vector."""
+    for seed in range(3):
+        perm = make_permutation(name, g, seed=seed)
+        answer = np.empty(g.N, dtype=np.int64)
+        answer[perm.target_vector()] = np.arange(g.N)
+        want = hashlib.sha256(answer).hexdigest()
+        assert _verified_digest(name, g, seed, None) == want, seed
+
+
+def test_a_complex_system_hashes_its_bytes():
+    """Equal values are equal bytes only in int64: a verified complex128
+    answer compares equal to the int64 inverse image, yet hashes to
+    different bytes, so it never takes the memo's digest."""
+    g = GEOMETRIES[1]
+    system = ParallelDiskSystem(g, dtype=np.complex128, empty=np.nan)
+    request = PermutationRequest(
+        perm="bit-reversal", seed=2, geometry=g, capture_portion=True
     )
     report, digest = _execute_request(system, request, PlanCache())
     assert report.verified
-    want = hashlib.sha256(system.portion_values(report.final_portion)).hexdigest()
-    assert digest == want
+    assert digest == sha256_of(system, report.final_portion)
+    assert digest != _verified_digest("bit-reversal", g, 2, None)
 
 
 @pytest.mark.parametrize("name", ["bit-reversal", "random-bmmc"])

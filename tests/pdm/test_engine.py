@@ -10,7 +10,13 @@ from repro.errors import (
     PlanError,
     ValidationError,
 )
-from repro.pdm.engine import ENGINES, execute_plan, validate_plan
+from repro.pdm.engine import (
+    ENGINES,
+    _FusedPass,
+    _fuse_pass,
+    execute_plan,
+    validate_plan,
+)
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import IOPlan, IOStep, PlanBuilder, PlanPass
 from repro.pdm.system import ParallelDiskSystem
@@ -82,6 +88,23 @@ class TestEquivalence:
         plan = b.build()
         strict, fast = run_both(g, plan, simple_io=False)
         assert strict.stats.snapshot() == fast.stats.snapshot()
+
+
+class TestFusedMetadata:
+    def test_whole_portion_pass_keeps_24_bytes_per_record(self, geometry):
+        """A fused pass lives as long as its plan, so it keeps only three
+        N-entry int64 arrays: read and write addresses and write sources.
+        Per-record portion ids are built only for a segment that spans
+        two portions, and per-block ones only while the pass is audited."""
+        plan = reverse_plan(geometry)
+        execute_plan(fresh(geometry), plan, engine="fast")
+        f = _fuse_pass(geometry, plan.passes[0])
+        per_record = [
+            value
+            for value in (getattr(f, name) for name in _FusedPass.__slots__)
+            if isinstance(value, np.ndarray) and value.size == geometry.N
+        ]
+        assert sum(a.nbytes for a in per_record) <= 24 * geometry.N
 
 
 class TestValidatePlan:
