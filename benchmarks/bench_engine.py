@@ -73,11 +73,13 @@ STREAM_BUDGET = 1 << 20
 #: pull index (8N bytes) breaks it at every N in the sweep.
 STREAM_TRACED_BYTES_PER_RECORD = 40
 
-#: Fused metadata a plan keeps per pass, in bytes per record: three
-#: N-entry int64 arrays (read and write addresses, write sources).  The
-#: first, fusing, streamed execution may trace this per record of N on
-#: top of the streamed bound; two more per-record arrays break it.
-FUSED_BYTES_PER_RECORD = 24
+#: What the first, fusing, streamed execution may trace per record of N
+#: on top of the streamed bound, in bytes.  A fused pass keeps block ids
+#: (N/B entries per direction, already in the plan's columns) and shares
+#: the plan's write-source column, so fusing allocates only per-step and
+#: per-block arrays (8/B bytes per record each, 0.5 at B=16).  A pass
+#: that keeps any N-entry int64 array of its own (8 per record) breaks it.
+FUSED_BYTES_PER_RECORD = 2
 
 #: Warm cache-hit service must beat cold by at least this factor.
 CACHE_SPEEDUP_FLOOR = float(os.environ.get("BENCH_CACHE_SPEEDUP_FLOOR", "3.0"))

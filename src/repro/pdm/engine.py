@@ -44,6 +44,13 @@ retire a memoryload's slots as soon as its writes are planned, so their
 live set is ~M and arbitrarily large N executes in bounded host memory.
 Every ``execute_plan`` call returns an :class:`ExecReport` recording
 the observed host peak.
+
+The fused metadata each pass keeps for its plan's life holds block ids,
+not record addresses: records move only as whole blocks, so a segment
+gathers, checks and scatters ``(N/B, B)`` block rows.  Its one
+``N``-entry array is the plan's own write-source column (8 bytes per
+record per pass), so even a fresh plan's first execution allocates
+O(live slots) plus O(N/B).
 """
 
 from __future__ import annotations
@@ -131,15 +138,21 @@ class ExecReport:
 
 
 class _FusedPass:
-    """Concatenated per-pass step metadata for vectorized checks/execution."""
+    """Concatenated per-pass step metadata for vectorized checks/execution.
+
+    It lives as long as its plan, so it keeps block ids (``N/B`` per
+    direction), never record addresses: records move only as whole
+    blocks, so a block id and a slot within the block name a record.
+    Its one ``N``-entry array, ``write_source``, is the plan's own
+    column, shared; everything else is per step or per block.
+    """
 
     __slots__ = (
         "label", "num_steps",
         "read_ids", "read_sizes", "read_portions", "read_striped",
         "read_consume_default", "read_consume_value", "read_discard",
-        "read_addr",
         "write_ids", "write_sizes", "write_portions", "write_striped",
-        "write_addr", "write_source",
+        "write_source",
         "write_source_max", "write_source_min",
         "io_counts",  # the pass's IOStats counters (record_pass_batch kwargs)
         "is_read", "step_sizes", "reads_before",
@@ -173,14 +186,6 @@ def _segment_striped(g, ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return (sizes == g.D) & (lo == hi)
 
 
-def _read_cumulatives(B, is_read, read_sizes):
-    """(read steps before each step position, records read before each
-    read step) -- shared by fusion and liveness segmentation."""
-    read_before = np.concatenate(([0], np.cumsum(is_read, dtype=np.int64)))
-    read_rec_cum = np.concatenate(([0], np.cumsum(read_sizes * B, dtype=np.int64)))
-    return read_before, read_rec_cum
-
-
 def _write_source_extrema(B, write_sizes, write_source):
     """Per-write-step (min, max) sourced stream slot, empty-safe."""
     if write_sizes.size and (write_sizes > 0).all():
@@ -201,6 +206,8 @@ def _fuse_pass(g: DiskGeometry, pas: PlanPass) -> _FusedPass:
     Builder-produced passes carry a columnar twin of their step list,
     so fusing is pure array bookkeeping -- no per-step Python loop.
     Hand-built passes take the slow path once (``_ensure_columns``).
+    Block ids are kept as the columns hold them; no record address is
+    derived here.
     """
     cols = pas.columns_if_fresh()
     num_steps = cols.num_steps if cols is not None else len(pas.steps)
@@ -237,16 +244,16 @@ def _fuse_pass(g: DiskGeometry, pas: PlanPass) -> _FusedPass:
     # Step-position cumulatives: how many read/write steps (and records)
     # precede each step position.  These drive strict replay parity,
     # the ordering audit, and streaming segmentation.
-    f.read_before, f.read_rec_cum = _read_cumulatives(B, f.is_read, f.read_sizes)
+    f.read_before = np.concatenate(([0], np.cumsum(f.is_read, dtype=np.int64)))
+    f.read_rec_cum = np.concatenate(
+        ([0], np.cumsum(f.read_sizes * B, dtype=np.int64))
+    )
     f.write_before = np.concatenate(([0], np.cumsum(~f.is_read, dtype=np.int64)))
     f.write_rec_cum = np.concatenate(
         ([0], np.cumsum(f.write_sizes * B, dtype=np.int64))
     )
     f.reads_before = f.read_rec_cum[f.read_before[:-1][~f.is_read]]
 
-    offsets = np.arange(B, dtype=np.int64)[None, :]
-    f.read_addr = ((f.read_ids[:, None] << g.b) + offsets).reshape(-1)
-    f.write_addr = ((f.write_ids[:, None] << g.b) + offsets).reshape(-1)
     f.io_counts = dict(
         parallel_reads=int(f.read_sizes.size),
         parallel_writes=int(f.write_sizes.size),
@@ -514,10 +521,10 @@ def _execute_strict(
         checkpoint("pass", pas.label)
         pass_records = pas.num_read_blocks * g.B
         if budget is not None and pass_records > budget and pas.num_steps > 1:
-            meta = _segment_meta(g, pas)
-            segments = _liveness_segments(meta, budget)
+            fused = _fuse_pass(g, pas)
+            segments = _liveness_segments(fused, budget)
         else:
-            meta = None
+            fused = None
             segments = [(0, pas.num_steps)]
         if len(segments) > 1:
             report.streamed_passes += 1
@@ -528,12 +535,12 @@ def _execute_strict(
             for s0, s1 in segments:
                 if s0:
                     checkpoint("shard", pas.label)
-                if meta is None:
+                if fused is None:
                     chunk = pass_records
                 else:
                     chunk = int(
-                        meta.read_rec_cum[meta.read_before[s1]]
-                        - meta.read_rec_cum[meta.read_before[s0]]
+                        fused.read_rec_cum[fused.read_before[s1]]
+                        - fused.read_rec_cum[fused.read_before[s0]]
                     )
                 stream = np.empty(chunk, dtype=system.dtype)
                 report.host_peak_records = max(report.host_peak_records, chunk)
@@ -570,38 +577,38 @@ def _execute_strict(
 
 
 # ----------------------------------------------------------------- fast mode
-def _portion_groups(portions: np.ndarray, sizes: np.ndarray, B: int):
-    """``(portion, record_indexer)`` pairs for steps of ``sizes`` blocks
+def _portion_groups(portions: np.ndarray, sizes: np.ndarray):
+    """``(portion, block_indexer)`` pairs for steps of ``sizes`` blocks
     touching ``portions``: one full slice when uniform (every
-    planner-emitted pass), else a per-record mask built here."""
+    planner-emitted pass), else a per-block mask built here."""
     uniq = np.unique(portions)
     if uniq.size <= 1:
         return [(int(p), slice(None)) for p in uniq]
-    rec_portions = np.repeat(portions, sizes * B)
-    return [(int(p), rec_portions == p) for p in uniq]
+    block_portions = np.repeat(portions, sizes)
+    return [(int(p), block_portions == p) for p in uniq]
+
+
+def _block_rows(system: ParallelDiskSystem, portion: int) -> np.ndarray:
+    """A portion viewed as ``(N/B, B)``: row ``i`` is block ``i``."""
+    return system._data[portion].reshape(-1, system.geometry.B)
 
 
 def _require_write_targets_empty(
     system: ParallelDiskSystem,
     write_groups: list,
-    write_addr: np.ndarray,
+    write_ids: np.ndarray,
 ) -> None:
-    """The simple-I/O write-to-empty rule, vectorized over record addrs.
+    """The simple-I/O write-to-empty rule, vectorized over block rows.
 
     Keep the error text in sync with
     :meth:`ParallelDiskSystem.write_blocks` and the optimizer's
     whole-portion check (``repro.pdm.optimize._run_unit``).
     """
-    g = system.geometry
-    data = system._data
     for portion, idx in write_groups:
-        if isinstance(idx, slice):
-            values = data[portion][write_addr]
-        else:
-            values = data[portion, write_addr[idx]]
-        occupied = ~system._is_empty(values)
+        ids = write_ids[idx]
+        occupied = ~system._is_empty(_block_rows(system, portion)[ids]).all(axis=1)
         if occupied.any():
-            bad = np.unique((write_addr[idx])[occupied] >> g.b)
+            bad = np.unique(ids[occupied])
             raise BlockStateError(
                 f"writing to non-empty blocks under simple I/O: {list(bad)}"
             )
@@ -614,42 +621,6 @@ def _stream_budget(stream_records) -> int | None:
     if not stream_records:
         return None
     return int(stream_records)
-
-
-class _SegmentMeta:
-    """Step-level segmentation inputs: what :func:`_liveness_segments`
-    needs and nothing more (no record-level gather/scatter arrays)."""
-
-    __slots__ = ("num_steps", "is_read", "read_before", "read_rec_cum", "write_source_min")
-
-
-def _segment_meta(g: DiskGeometry, pas: PlanPass):
-    """Liveness-segmentation metadata for one pass, O(steps) memory.
-
-    Strict replay streams through per-operation I/O and never touches
-    the fused record-address arrays, so building a full
-    :class:`_FusedPass` (O(pass records) host memory) just to find cut
-    points would defeat the streaming guard.  Reuses an existing fused
-    cache entry when the fast engine already paid for one.
-    """
-    cached = pas._fused.get("fused")
-    if cached is not None and cached.num_steps == pas.num_steps:
-        return cached
-    meta = pas._fused.get("segmeta")
-    if meta is not None and meta.num_steps == pas.num_steps:
-        return meta
-    c = pas._ensure_columns()
-    meta = _SegmentMeta()
-    meta.num_steps = c.num_steps
-    meta.is_read = c.is_read
-    meta.read_before, meta.read_rec_cum = _read_cumulatives(
-        g.B, c.is_read, c.read_sizes
-    )
-    meta.write_source_min, _ = _write_source_extrema(
-        g.B, c.write_sizes, c.write_source
-    )
-    pas._fused["segmeta"] = meta
-    return meta
 
 
 def _liveness_segments(f, budget: int) -> list[tuple[int, int]]:
@@ -698,64 +669,63 @@ def _apply_segment(
     s1: int,
 ) -> np.ndarray:
     """Gather/check/scatter one step range of a fused pass; returns its
-    read-stream chunk (the caller reports/captures it)."""
-    g = system.geometry
-    B = g.B
-    data = system._data
+    read-stream chunk (the caller reports/captures it).
+
+    Every portion is indexed as ``(N/B, B)`` block rows by the pass's
+    block ids, so the segment's only per-record arrays are its stream
+    chunk, the chunk's write sources and the records they pick.
+    """
+    B = system.geometry.B
     r0, r1 = int(f.read_before[s0]), int(f.read_before[s1])
     w0, w1 = int(f.write_before[s0]), int(f.write_before[s1])
     rec0, rec1 = int(f.read_rec_cum[r0]), int(f.read_rec_cum[r1])
     wrec0, wrec1 = int(f.write_rec_cum[w0]), int(f.write_rec_cum[w1])
 
-    read_addr = f.read_addr[rec0:rec1]
-    read_groups = _portion_groups(f.read_portions[r0:r1], f.read_sizes[r0:r1], B)
+    read_ids = f.read_ids[rec0 // B : rec1 // B]
+    read_groups = _portion_groups(f.read_portions[r0:r1], f.read_sizes[r0:r1])
     stream = np.empty(rec1 - rec0, dtype=system.dtype)
+    stream_rows = stream.reshape(-1, B)
     for portion, idx in read_groups:
         if isinstance(idx, slice):
-            np.take(data[portion], read_addr, out=stream)
+            np.take(_block_rows(system, portion), read_ids, axis=0, out=stream_rows)
         else:
-            stream[idx] = data[portion, read_addr[idx]]
+            stream_rows[idx] = _block_rows(system, portion)[read_ids[idx]]
 
     consume = f.resolved_consume(system.simple_io)[r0:r1]
-    rec_consume = np.repeat(consume, f.read_sizes[r0:r1] * B)
-    any_consume = bool(rec_consume.any())
-    all_consume = any_consume and bool(rec_consume.all())
+    block_consume = np.repeat(consume, f.read_sizes[r0:r1])
+    any_consume = bool(block_consume.any())
+    all_consume = any_consume and bool(block_consume.all())
     if any_consume:
-        consumed = stream if all_consume else stream[rec_consume]
-        empty = system._is_empty(consumed)
+        consumed = stream_rows if all_consume else stream_rows[block_consume]
+        empty = system._is_empty(consumed).any(axis=1)
         if empty.any():
-            seg_block_ids = f.read_ids[rec0 // B : rec1 // B]
-            consumed_blocks = np.repeat(seg_block_ids, B)[rec_consume]
-            bad = np.unique(consumed_blocks[empty.reshape(-1)])
+            consumed_ids = read_ids if all_consume else read_ids[block_consume]
+            bad = np.unique(consumed_ids[empty])
             raise BlockStateError(
                 f"reading empty/partial blocks {list(bad)} under simple I/O"
             )
 
-    write_addr = f.write_addr[wrec0:wrec1]
-    write_groups = _portion_groups(f.write_portions[w0:w1], f.write_sizes[w0:w1], B)
-    if system.simple_io and write_addr.size:
-        _require_write_targets_empty(system, write_groups, write_addr)
+    write_ids = f.write_ids[wrec0 // B : wrec1 // B]
+    write_groups = _portion_groups(f.write_portions[w0:w1], f.write_sizes[w0:w1])
+    if system.simple_io and write_ids.size:
+        _require_write_targets_empty(system, write_groups, write_ids)
 
     # Mutate: consume sources, then scatter targets (disjoint by the
     # fusability check, so ordering is immaterial).
     if any_consume:
         for portion, idx in read_groups:
             if isinstance(idx, slice):
-                addr = read_addr if all_consume else read_addr[rec_consume]
-                data[portion][addr] = system.empty
+                ids = read_ids if all_consume else read_ids[block_consume]
             else:
-                mask = idx & rec_consume
-                data[portion, read_addr[mask]] = system.empty
-    if write_addr.size:
+                ids = read_ids[idx & block_consume]
+            _block_rows(system, portion)[ids] = system.empty
+    if write_ids.size:
         src = f.write_source[wrec0:wrec1]
         if rec0:
             src = src - rec0
-        out = stream[src]
+        out_rows = stream[src].reshape(-1, B)
         for portion, idx in write_groups:
-            if isinstance(idx, slice):
-                data[portion][write_addr] = out
-            else:
-                data[portion, write_addr[idx]] = out[idx]
+            _block_rows(system, portion)[write_ids[idx]] = out_rows[idx]
     return stream
 
 

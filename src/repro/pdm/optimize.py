@@ -107,14 +107,15 @@ class _Group:
         self.lock = threading.Lock()
 
 
-def _row(portions: np.ndarray, addr: np.ndarray, N: int) -> int | None:
-    """The portion a record stream covers whole, else ``None``.
+def _row(g, portions: np.ndarray, ids: np.ndarray) -> int | None:
+    """The portion a block stream covers whole, else ``None``.
 
-    N records in one portion touch every address exactly once, because
-    ``_check_pass`` rejects a block written twice and a consumed block
-    read twice (callers only ask about consuming reads).
+    ``N/B`` blocks (``N`` records) in one portion touch every block
+    exactly once, because ``_check_pass`` rejects a block written twice
+    and a consumed block read twice (callers only ask about consuming
+    reads).
     """
-    if addr.size != N or (portions != portions[0]).any():
+    if ids.size * g.B != g.N or (portions != portions[0]).any():
         return None
     return int(portions[0])
 
@@ -122,15 +123,16 @@ def _row(portions: np.ndarray, addr: np.ndarray, N: int) -> int | None:
 def _rows(g, f, simple_io: bool) -> tuple[int, int] | None:
     """``(read portion, write portion)`` when, under simple I/O, the pass
     consumes one whole portion (discarding nothing) and writes another
-    whole, else ``None``."""
+    whole, else ``None``.  Both are decided on record counts
+    (blocks x B)."""
     if (
         not simple_io
         or not f.resolved_consume(simple_io).all()
         or f.read_discard.any()
     ):
         return None
-    src = _row(f.read_portions, f.read_addr, g.N)
-    dst = _row(f.write_portions, f.write_addr, g.N)
+    src = _row(g, f.read_portions, f.read_ids)
+    dst = _row(g, f.write_portions, f.write_ids)
     return None if src is None or dst is None else (src, dst)
 
 
@@ -152,23 +154,42 @@ def _whole_portion_unit(members, rows) -> _Group:
     return _Group(members, p_in=p_in, p_out=rows[-1][1], targets=targets)
 
 
-def _unit_pull(grp: _Group, N: int) -> np.ndarray:
+def _member_step(g, f) -> np.ndarray:
+    """Member ``f`` as a gather over whole portions,
+    ``data[dst] = data[src][step]``, composed from its block ids.
+
+    Stream slot ``s`` holds the record at source address
+    ``(read_ids[s >> b] << b) | (s & (B - 1))``, and the ``k``-th
+    written record comes from slot ``write_source[k]``, so the source
+    addresses in write order, cut into rows of ``B``, are ``step``'s
+    rows at ``write_ids``.  Its one temporary, ``src``, is dropped on
+    return.
+    """
+    ws = f.write_source
+    step = np.right_shift(ws, g.b)  # each written record's read block
+    src = f.read_ids[step]
+    src <<= g.b
+    src |= np.bitwise_and(ws, g.B - 1, out=step)
+    # A whole-portion member writes every block once, so every row of
+    # the reused buffer is overwritten here.
+    step.reshape(-1, g.B)[f.write_ids] = src.reshape(-1, g.B)
+    return step
+
+
+def _unit_pull(grp: _Group, g) -> np.ndarray:
     """The unit's pull index, composed and range-checked on first use.
 
-    Member ``f`` leaves ``data[dst][f.write_addr] =
-    data[src][f.read_addr[f.write_source]]``; as a gather over whole
-    portions that is ``data[dst] = data[src][step]``, and a chain of
-    gathers composes as ``pull[step]``: O(N) per member.
+    Each member is a gather over whole portions (:func:`_member_step`),
+    and a chain of gathers composes as ``pull[step]``: O(N) per member.
     """
     if grp.pull is None:
         with grp.lock:
             if grp.pull is None:
                 pull = None
                 for f in grp.members:
-                    step = np.empty(N, dtype=np.int64)
-                    step[f.write_addr] = f.read_addr[f.write_source]
+                    step = _member_step(g, f)
                     pull = step if pull is None else pull[step]
-                _check_pull(grp, pull, N)
+                _check_pull(grp, pull, g.N)
                 grp.pull = pull
     return grp.pull
 
@@ -254,21 +275,23 @@ class OptimizedPlan:
         structural violation, returns a summary dict otherwise.
 
         Checks: every member of a whole-portion unit reads and writes N
-        records, every unit's pull index (composed here if no execution
-        has gathered yet) maps one portion into itself, and the pass list
-        the optimized executor will report equals the original plan's.
+        records (its blocks times B), every unit's pull index (composed
+        here if no execution has gathered yet) maps one portion into
+        itself, and the pass list the optimized executor will report
+        equals the original plan's.
         """
-        N = self.geometry.N
+        g = self.geometry
         total_passes = 0
         for grp in self.groups:
             total_passes += len(grp.members)
             if grp.p_in is not None:
                 for f in grp.members:
-                    if f.read_addr.size != N or f.write_addr.size != N:
+                    moved = (f.read_ids.size * g.B, f.write_ids.size * g.B)
+                    if moved != (g.N, g.N):
                         raise PlanError(
                             f"unit member {f.label!r} does not move a whole portion"
                         )
-                _check_pull(grp, _unit_pull(grp, N), N)
+                _check_pull(grp, _unit_pull(grp, g), g.N)
         if total_passes != len(self._fused) or total_passes != self.plan.num_passes:
             raise PlanError("optimized groups do not cover the plan's passes")
         return {
@@ -370,7 +393,7 @@ def _run_unit(system: ParallelDiskSystem, grp: _Group) -> None:
             )
     # _check_pull bounded the index when it was composed; "clip" skips
     # the per-call range check and the output buffer "raise" would need.
-    pull = _unit_pull(grp, g.N)
+    pull = _unit_pull(grp, g)
     if grp.p_out == grp.p_in:
         data[grp.p_out] = np.take(src, pull, mode="clip")
     else:

@@ -19,7 +19,8 @@ from repro.pdm.engine import (
 )
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import IOPlan, IOStep, PlanBuilder, PlanPass
-from repro.pdm.system import ParallelDiskSystem
+from repro.pdm.system import EMPTY, ParallelDiskSystem
+from tests.pdm.test_optimize import named_blocks
 
 
 @pytest.fixture
@@ -91,20 +92,121 @@ class TestEquivalence:
 
 
 class TestFusedMetadata:
-    def test_whole_portion_pass_keeps_24_bytes_per_record(self, geometry):
-        """A fused pass lives as long as its plan, so it keeps only three
-        N-entry int64 arrays: read and write addresses and write sources.
-        Per-record portion ids are built only for a segment that spans
-        two portions, and per-block ones only while the pass is audited."""
+    def test_pass_keeps_no_per_record_array_of_its_own(self, geometry):
+        """A fused pass lives as long as its plan, so it keeps block ids,
+        not record addresses: the only N-entry array it references is
+        its plan's write-source column, shared."""
         plan = reverse_plan(geometry)
         execute_plan(fresh(geometry), plan, engine="fast")
-        f = _fuse_pass(geometry, plan.passes[0])
+        pas = plan.passes[0]
+        f = _fuse_pass(geometry, pas)
         per_record = [
-            value
-            for value in (getattr(f, name) for name in _FusedPass.__slots__)
-            if isinstance(value, np.ndarray) and value.size == geometry.N
+            name
+            for name in _FusedPass.__slots__
+            if isinstance(getattr(f, name), np.ndarray)
+            and getattr(f, name).size >= geometry.N
         ]
-        assert sum(a.nbytes for a in per_record) <= 24 * geometry.N
+        assert per_record == ["write_source"]
+        assert np.shares_memory(f.write_source, pas.columns_if_fresh().write_source)
+
+
+#: Rounds of :func:`split_plan`'s one pass.
+SPLIT_ROUNDS = 4
+
+
+def split_plan(g):
+    """One pass of ``SPLIT_ROUNDS`` rounds on a 4-portion system.
+
+    Round ``r`` reads stripe ``r`` of portion 0 (consuming) and stripe
+    ``SPLIT_ROUNDS + r`` of portion 1 (consuming only when ``r`` is
+    odd), then writes the round's records, reversed, to stripe ``r`` of
+    portions 2 and 3.  So every segment reads two portions and writes
+    two others, and a segment holding an even round mixes consuming and
+    non-consuming reads."""
+    b = PlanBuilder(g)
+    b.begin_pass("split")
+    per = g.records_per_stripe
+    for r in range(SPLIT_ROUNDS):
+        first = b.read_stripe(0, r)
+        second = b.read_stripe(1, SPLIT_ROUNDS + r, consume=bool(r % 2))
+        slots = np.concatenate([first, second])[::-1]
+        b.write_stripe(2, r, slots[:per])
+        b.write_stripe(3, r, slots[per:])
+    return b.build()
+
+
+def four_portions(g):
+    s = ParallelDiskSystem(g, portions=4)
+    s.fill_identity(0)
+    s.fill(1, np.arange(g.N, 2 * g.N))
+    return s
+
+
+class TestBlockRowSegments:
+    """The per-pass fast path on passes that read two portions and write
+    two others, unstreamed and cut into segments by the stream budget.
+    A budget of one stripe pair (``2 * BD`` records) makes every odd
+    round a segment whose reads all consume; two pairs make segments
+    that mix consuming and non-consuming reads."""
+
+    @staticmethod
+    def budgets(g):
+        """Never stream; 2 segments of 2 rounds; 4 segments of 1."""
+        return (0, 4 * g.records_per_stripe, 2 * g.records_per_stripe)
+
+    def test_fast_equals_strict(self, geometry):
+        g = geometry
+        plan = split_plan(g)
+        strict = four_portions(g)
+        execute_plan(strict, plan, engine="strict")
+        for budget in self.budgets(g):
+            fast = four_portions(g)
+            report = execute_plan(fast, plan, engine="fast", stream_records=budget)
+            if budget:
+                assert report.streamed_passes == 1
+                assert report.host_peak_records <= budget
+            else:
+                whole_pass = 2 * SPLIT_ROUNDS * g.records_per_stripe
+                assert report.host_peak_records == whole_pass
+            for portion in range(4):
+                assert (
+                    fast.portion_values(portion) == strict.portion_values(portion)
+                ).all(), (budget, portion)
+            assert fast.stats.snapshot() == strict.stats.snapshot()
+            assert fast.stats.passes == strict.stats.passes
+            assert fast.memory.peak == strict.memory.peak
+            assert fast.memory.in_use == strict.memory.in_use
+
+    def test_empty_consumed_block_of_second_read_portion_named(self, geometry):
+        g = geometry
+        plan = split_plan(g)
+        # round 1 consumes stripe SPLIT_ROUNDS + 1 of portion 1
+        planted = g.stripe_blocks(SPLIT_ROUNDS + 1)[1]
+        for budget in self.budgets(g):
+            s = four_portions(g)
+            s._data[1, planted * g.B + 1] = EMPTY
+            with pytest.raises(BlockStateError) as err:
+                execute_plan(s, plan, engine="fast", stream_records=budget)
+            assert named_blocks(err.value) == [planted], budget
+        strict = four_portions(g)
+        strict._data[1, planted * g.B + 1] = EMPTY
+        with pytest.raises(BlockStateError):
+            execute_plan(strict, plan, engine="strict")
+
+    def test_occupied_target_block_of_second_write_portion_named(self, geometry):
+        g = geometry
+        plan = split_plan(g)
+        planted = g.stripe_blocks(2)[1]  # round 2 writes it in portion 3
+        for budget in self.budgets(g):
+            s = four_portions(g)
+            s._data[3, planted * g.B + 1] = 42
+            with pytest.raises(BlockStateError) as err:
+                execute_plan(s, plan, engine="fast", stream_records=budget)
+            assert named_blocks(err.value) == [planted], budget
+        strict = four_portions(g)
+        strict._data[3, planted * g.B + 1] = 42
+        with pytest.raises(BlockStateError):
+            execute_plan(strict, plan, engine="strict")
 
 
 class TestValidatePlan:

@@ -86,6 +86,34 @@ class TestStreaming:
             assert s.verify_permutation(perm, np.arange(g.N), 1)
         assert peaks[g.M] <= peaks[0] / 2, peaks
 
+    def test_first_streamed_execution_keeps_no_n_entry_array(self):
+        """A fresh plan's first streamed execution fuses its pass, and a
+        fused pass keeps block ids, not record addresses.  So it may
+        trace at most 12 bytes per record of N (one more N-entry int64
+        array breaks that) on top of the 40 bytes per budget record a
+        streamed execution holds.  A first plan runs untraced, so
+        first-use allocations are not counted."""
+        g = DiskGeometry(N=2**16, B=2**3, D=2**2, M=2**7)
+        budget = 2**12
+        rng = np.random.default_rng(0)
+        perms = [
+            BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, rng)) for _ in range(2)
+        ]
+        warm = plan_mld_pass(g, perms[0])
+        execute_plan(fresh(g), warm, engine="fast", stream_records=budget)
+        plan = plan_mld_pass(g, perms[1])
+        s = fresh(g)
+        tracemalloc.start()
+        try:
+            report = execute_plan(s, plan, engine="fast", stream_records=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.streamed_passes == 1
+        assert report.host_peak_records <= budget
+        assert s.verify_permutation(perms[1], np.arange(g.N), 1)
+        assert peak <= 12 * g.N + 40 * budget, f"{peak / g.N:.1f} bytes per record"
+
     def test_budget_sweep_all_equivalent(self, geometry):
         g = geometry
         perm = BMMCPermutation(random_mld_matrix(g.n, g.b, g.m, np.random.default_rng(1)))
