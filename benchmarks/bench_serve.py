@@ -1,7 +1,7 @@
 """SERVE: concurrent warm-cache serving vs. the sequential runner.
 
 The serving claim of the concurrency PR: a :class:`PermutationService`
-with 8 workers and one shared :class:`ShardedPlanCache`, serving a
+with 8 workers and one shared :class:`PlanCache`, serving a
 mixed MLD/MRC/BMMC/distribution workload warm, must sustain at least
 ``BENCH_SERVE_SPEEDUP_FLOOR``x (default 3x) the throughput of the
 sequential runner executing the same mix request-by-request (each
@@ -34,7 +34,6 @@ import os
 import time
 
 from repro.errors import DeadlineExceeded, InjectedFault, RequestRejected
-from repro.pdm.cache import ShardedPlanCache
 from repro.pdm.geometry import DiskGeometry
 from repro.serve import (
     FaultPlan,
@@ -114,9 +113,8 @@ def test_serve_warm_cache_throughput(benchmark):
     seq_elapsed = time.perf_counter() - t0
     assert all(r.ok for r in sequential)
 
-    # -- the service: 8 workers, one shared sharded cache
-    cache = ShardedPlanCache(maxsize=64, num_shards=8)
-    with PermutationService(GEOMETRY, workers=WORKERS, cache=cache) as service:
+    # -- the service: 8 workers on its own 64-entry cache (one lock)
+    with PermutationService(GEOMETRY, workers=WORKERS) as service:
         t0 = time.perf_counter()
         cold = service.run(requests)
         cold_elapsed = time.perf_counter() - t0
@@ -130,7 +128,7 @@ def test_serve_warm_cache_throughput(benchmark):
         (warm, warm_elapsed) = benchmark.pedantic(
             warm_run, rounds=1, iterations=1
         )
-        info = cache.info()
+        info = service.cache.info()
 
     assert all(r.ok for r in warm)
     for got, want in zip(warm, sequential):

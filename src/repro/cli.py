@@ -233,7 +233,6 @@ def serve_http(args, shutdown_event=None, ready=None) -> int:
         g,
         workers=args.workers,
         cache_maxsize=args.cache_size,
-        num_shards=args.shards,
         queue_capacity=args.queue_capacity,
         queue_policy=args.queue_policy,
         default_timeout=args.timeout,
@@ -257,7 +256,7 @@ def serve_http(args, shutdown_event=None, ready=None) -> int:
         f"listening on {frontend.url} ({args.workers} workers, "
         f"queue={args.queue_capacity or 'unbounded'}/{args.queue_policy}, "
         f"coalesce={'on' if args.coalesce else 'off'}); "
-        "GET /healthz /stats /cache /config /metrics, POST /permutations"
+        "GET /healthz /stats /config /metrics, POST /permutations"
     )
     if shutdown_event is None:
         shutdown_event = threading.Event()
@@ -385,7 +384,6 @@ def cmd_serve(args) -> int:
             g,
             workers=args.workers,
             cache_maxsize=args.cache_size,
-            num_shards=args.shards,
             queue_capacity=args.queue_capacity,
             queue_policy=args.queue_policy,
             default_timeout=args.timeout,
@@ -753,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve a request mix concurrently on a worker pool",
         description="Execute many permutation requests on a thread pool "
-        "with per-worker disk systems and one shared sharded plan cache. "
+        "with per-worker disk systems and one shared plan cache. "
         "Requests come from --requests (JSON lines or a JSON array of "
         "PermutationRequest fields) or a deterministic synthetic "
         "MLD/MRC/BMMC/distribution mix (--count/--distinct-seeds); "
@@ -769,7 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--distinct-seeds", type=int, default=2, help="seed rotation of the synthetic mix (key cardinality)")
     p_serve.add_argument("--engine", choices=list(ENGINES), default="fast")
     p_serve.add_argument("--cache-size", type=int, default=64, help="shared plan cache capacity")
-    p_serve.add_argument("--shards", type=int, default=8, help="cache lock shards")
     p_serve.add_argument(
         "--queue-capacity",
         type=int,
@@ -835,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="serve the pool over HTTP/JSON instead of running a batch: "
         "POST /permutations (sync or submit-then-poll), GET /healthz "
-        "/stats /cache /config and Prometheus-format /metrics; runs "
+        "/stats /config and Prometheus-format /metrics; runs "
         "until SIGINT/SIGTERM, then drains gracefully (port 0 binds an "
         "ephemeral port)",
     )

@@ -43,7 +43,6 @@ from repro.pdm.cache import (
     CacheInfo,
     CompiledPlan,
     PlanCache,
-    ShardedPlanCache,
     cached_execute,
     compile_plan,
     plan_key,
@@ -84,7 +83,6 @@ __all__ = [
     "CacheInfo",
     "CompiledPlan",
     "PlanCache",
-    "ShardedPlanCache",
     "cached_execute",
     "compile_plan",
     "plan_key",

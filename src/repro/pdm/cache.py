@@ -9,16 +9,14 @@ matrix pipeline the same transpose) therefore re-derives byte-identical
 plans over and over, and the planners -- per-memoryload argsorts and
 class-property proofs -- dominate the cost of a fast execution.
 
-:class:`ShardedPlanCache` is a thread-safe LRU map from a
-:func:`plan_key` to a :class:`CompiledPlan`: the plan with its fused
-per-pass arrays already built, the model-rule audit already passed, and
-(lazily, on first fast-engine use) the
-:class:`~repro.pdm.optimize.OptimizedPlan` the fast engine runs.
-:class:`PlanCache` is the same cache with one shard, so one LRU order
-spans every entry.  A cache hit goes straight to gather/scatter -- no
-planning, no fusing, no structural validation; only the data-dependent
-simple-I/O checks and the memory simulation (both O(plan) numpy work)
-remain.
+:class:`PlanCache` is a thread-safe LRU map from a :func:`plan_key` to
+a :class:`CompiledPlan`: the plan with its fused per-pass arrays
+already built, the model-rule audit already passed, and (lazily, on
+first fast-engine use) the :class:`~repro.pdm.optimize.OptimizedPlan`
+the fast engine runs.  A cache hit goes straight to gather/scatter --
+no planning, no fusing, no structural validation; only the
+data-dependent simple-I/O checks and the memory simulation (both
+O(plan) numpy work) remain.
 
 :func:`cached_execute` is the one place a planner wrapper's plan runs,
 with or without a cache, and the one place that times the plan,
@@ -50,10 +48,8 @@ from repro.pdm.system import ParallelDiskSystem
 
 __all__ = [
     "CacheInfo",
-    "ShardCacheInfo",
     "CompiledPlan",
     "PlanCache",
-    "ShardedPlanCache",
     "plan_key",
     "compile_plan",
     "cached_execute",
@@ -80,26 +76,6 @@ class CacheInfo:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-
-@dataclass(frozen=True)
-class ShardCacheInfo:
-    """One shard's counters, snapshotted under that shard's lock alone.
-
-    The observability contract for ``/stats`` and ``/metrics``: a
-    monitoring scrape reads shards one at a time
-    (:meth:`ShardedPlanCache.shard_infos`), never holding more than one
-    shard lock, so it cannot stall the serving hot path the way a
-    stop-the-world snapshot would.
-    """
-
-    shard: int
-    size: int
-    hits: int
-    misses: int
-    evictions: int
-    latch_waits: int
-    inflight: int
 
 
 def plan_key(algorithm: str, geometry: DiskGeometry, *components) -> tuple:
@@ -191,15 +167,16 @@ def compile_plan(
     return CompiledPlan(plan, check, num_portions, simple_io, meta=meta)
 
 
-class ShardedPlanCache:
-    """A thread-safe LRU plan cache for concurrent serving.
+class PlanCache:
+    """A thread-safe LRU plan cache, shareable between worker threads.
 
-    Entries are spread over ``num_shards`` independent LRU shards by
-    ``hash(plan_key)``, each guarded by its own lock, so requests for
-    unrelated keys never contend.  Counters (hits / misses / evictions)
-    are updated under the owning shard's lock and are therefore *exact*
-    under contention -- no lost increments, and
-    ``hits + misses == requests`` reconciles deterministically.
+    One LRU order holds at most ``maxsize`` entries, guarded by one
+    lock that is held only for dictionary operations.  Counters (hits /
+    misses / evictions / latch waits) are updated under that lock and
+    read together by :meth:`info`, so they are *exact* under contention
+    -- no lost increments, and ``hits + misses == requests`` reconciles
+    deterministically.  Which entry an insert evicts depends only on
+    the order of requests, never on how keys hash.
 
     Cold misses get **compile-once** semantics: the first requester of a
     key installs an in-flight latch and compiles outside the lock;
@@ -211,90 +188,40 @@ class ShardedPlanCache:
     poisoned request never wedges or corrupts the cache.
     """
 
-    class _Shard:
-        __slots__ = (
-            "lock", "entries", "inflight", "hits", "misses", "evictions",
-            "latch_waits",
-        )
-
-        def __init__(self) -> None:
-            self.lock = threading.Lock()
-            self.entries: OrderedDict[tuple, CompiledPlan] = OrderedDict()
-            self.inflight: dict[tuple, threading.Event] = {}
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.latch_waits = 0
-
-    def __init__(self, maxsize: int = 64, num_shards: int = 8) -> None:
-        num_shards = max(1, int(num_shards))
+    def __init__(self, maxsize: int = 64) -> None:
         maxsize = int(maxsize)
         if maxsize < 1:
-            # maxsize=0 yields _per_shard == 0, so every store instantly
-            # evicts its own entry and the cache silently never holds
-            # anything (misses/evictions climb forever, size stays 0).
+            # maxsize=0 would evict every entry as it is stored: the
+            # cache would silently never hold anything (misses and
+            # evictions climb forever, size stays 0).
             raise ValidationError(f"maxsize must be >= 1, got {maxsize}")
-        if maxsize < num_shards:
-            # every shard needs capacity for at least one entry, or a
-            # single hot key per shard would thrash
-            num_shards = max(1, maxsize)
         self.maxsize = maxsize
-        self._shards = [self._Shard() for _ in range(num_shards)]
-        # ceil split so the total capacity is never below maxsize
-        self._per_shard = -(-maxsize // num_shards)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._shards)
-
-    def _shard_of(self, key: tuple) -> "ShardedPlanCache._Shard":
-        return self._shards[hash(key) % len(self._shards)]
-
-    def _store_locked(self, shard: "_Shard", key: tuple, compiled: CompiledPlan) -> None:
-        shard.entries[key] = compiled
-        shard.entries.move_to_end(key)
-        while len(shard.entries) > self._per_shard:
-            shard.entries.popitem(last=False)
-            shard.evictions += 1
-
-    # ------------------------------------------------------------ lookups
-    def lookup(self, key: tuple) -> CompiledPlan | None:
-        """Non-coalescing probe (counts a miss even if a compile is in
-        flight); prefer :meth:`get_or_compile` on serving paths."""
-        shard = self._shard_of(key)
-        with shard.lock:
-            entry = shard.entries.get(key)
-            if entry is None:
-                shard.misses += 1
-                return None
-            shard.entries.move_to_end(key)
-            shard.hits += 1
-            return entry
-
-    def store(self, key: tuple, compiled: CompiledPlan) -> None:
-        shard = self._shard_of(key)
-        with shard.lock:
-            self._store_locked(shard, key, compiled)
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, CompiledPlan] = OrderedDict()
+        self._inflight: dict[tuple, threading.Event] = {}
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._latch_waits = 0
 
     def get_or_compile(
         self, key: tuple, compile_fn: Callable[[], CompiledPlan]
     ) -> tuple[CompiledPlan, bool]:
         """Locked lookup with compile-once cold misses; see class docs."""
-        shard = self._shard_of(key)
         while True:
-            with shard.lock:
-                entry = shard.entries.get(key)
+            with self._lock:
+                entry = self._entries.get(key)
                 if entry is not None:
-                    shard.entries.move_to_end(key)
-                    shard.hits += 1
+                    self._entries.move_to_end(key)
+                    self._hits += 1
                     return entry, True
-                latch = shard.inflight.get(key)
+                latch = self._inflight.get(key)
                 if latch is None:
-                    latch = shard.inflight[key] = threading.Event()
-                    shard.misses += 1
+                    latch = self._inflight[key] = threading.Event()
+                    self._misses += 1
                     building = True
                 else:
-                    shard.latch_waits += 1
+                    self._latch_waits += 1
                     building = False
             if not building:
                 # Another thread is compiling this key: wait, then rescan.
@@ -314,102 +241,59 @@ class ShardedPlanCache:
             try:
                 compiled = compile_fn()
             except BaseException:
-                with shard.lock:
-                    shard.inflight.pop(key, None)
+                with self._lock:
+                    self._inflight.pop(key, None)
                 latch.set()
                 raise
-            with shard.lock:
-                self._store_locked(shard, key, compiled)
-                shard.inflight.pop(key, None)
+            with self._lock:
+                # The latch kept every other requester from storing this
+                # key, so the insert lands at the MRU end and at most one
+                # entry overflows.
+                self._entries[key] = compiled
+                if len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)
+                    self._evictions += 1
+                self._inflight.pop(key, None)
             latch.set()
             return compiled, False
 
-    def clear(self) -> None:
-        for shard in self._shards:
-            with shard.lock:
-                shard.entries.clear()
-
     def __len__(self) -> int:
-        return sum(len(s.entries) for s in self._shards)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key: tuple) -> bool:
-        shard = self._shard_of(key)
-        with shard.lock:
-            return key in shard.entries
-
-    @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(s.misses for s in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(s.evictions for s in self._shards)
-
-    @property
-    def latch_waits(self) -> int:
-        return sum(s.latch_waits for s in self._shards)
+        with self._lock:
+            return key in self._entries
 
     def info(self) -> CacheInfo:
-        return CacheInfo(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            size=len(self),
-            maxsize=self.maxsize,
-            latch_waits=self.latch_waits,
-        )
-
-    def shard_infos(self) -> list[ShardCacheInfo]:
-        """Per-shard counter snapshots, one shard lock at a time.
-
-        Deliberately *not* atomic across shards: a scrape that locked
-        every shard at once would serialize against the serving hot
-        path.  Each row is exact for its shard; the concatenation is a
-        near-point-in-time view, which is what monitoring needs.
-        """
-        infos = []
-        for index, shard in enumerate(self._shards):
-            with shard.lock:
-                infos.append(
-                    ShardCacheInfo(
-                        shard=index,
-                        size=len(shard.entries),
-                        hits=shard.hits,
-                        misses=shard.misses,
-                        evictions=shard.evictions,
-                        latch_waits=shard.latch_waits,
-                        inflight=len(shard.inflight),
-                    )
-                )
-        return infos
+        """Every counter and the size, read together under the lock."""
+        with self._lock:
+            return CacheInfo(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                size=len(self._entries),
+                maxsize=self.maxsize,
+                latch_waits=self._latch_waits,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         i = self.info()
         return (
-            f"{type(self).__name__}(shards={self.num_shards}, size={i.size}/"
-            f"{i.maxsize}, hits={i.hits}, misses={i.misses}, "
-            f"evictions={i.evictions})"
+            f"{type(self).__name__}(size={i.size}/{i.maxsize}, hits={i.hits}, "
+            f"misses={i.misses}, evictions={i.evictions})"
         )
 
 
-class PlanCache(ShardedPlanCache):
-    """A one-shard :class:`ShardedPlanCache`: one LRU order over every entry.
-
-    It keeps the sharded cache's lock and compile-once latch, so one
-    instance may be shared between threads.
-    """
-
-    def __init__(self, maxsize: int = 64) -> None:
-        super().__init__(maxsize, num_shards=1)
+# perfbench/layers.py imports the cache under this name to time its
+# get_or_compile.  It is the same class object, so that timer wraps the
+# method the service calls.
+ShardedPlanCache = PlanCache
 
 
 def cached_execute(
     system: ParallelDiskSystem,
-    cache: ShardedPlanCache | None,
+    cache: PlanCache | None,
     key: tuple,
     build: Callable[[], tuple[IOPlan, object]],
     engine: str = "fast",

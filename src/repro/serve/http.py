@@ -31,10 +31,11 @@ Routes
     Poll one request: ``202`` while pending, the outcome status with
     the full result once resolved, ``404`` for an unknown id.
 
-``GET /healthz`` ``/stats`` ``/cache`` ``/config``
+``GET /healthz`` ``/stats`` ``/config``
     Liveness + introspection, all JSON.  ``/stats`` is the exact
-    :class:`~repro.serve.ServiceStats` snapshot (plus cache detail)
-    the load generator reconciles ``/metrics`` against.
+    :class:`~repro.serve.ServiceStats` snapshot (plus the plan cache's
+    :class:`~repro.pdm.cache.CacheInfo` under ``cache``) the load
+    generator reconciles ``/metrics`` against.
 
 ``GET /metrics``
     Prometheus text format 0.0.4
@@ -377,17 +378,6 @@ class _Handler(BaseHTTPRequestHandler):
             payload["cache"] = asdict(cache.info())
         self._send_json(200, payload)
 
-    def _get_cache(self) -> None:
-        cache = self.frontend.service.cache
-        if cache is None:
-            self._send_json(200, {"cache": None})
-            return
-        payload = {"cache": asdict(cache.info())}
-        shard_infos = getattr(cache, "shard_infos", None)
-        if shard_infos is not None:
-            payload["shards"] = [asdict(s) for s in shard_infos()]
-        self._send_json(200, payload)
-
     def _get_config(self) -> None:
         self._send_json(200, self.frontend.describe_config())
 
@@ -586,7 +576,6 @@ class HttpFrontend:
     ROUTES = {
         "/healthz": {"GET": _Handler._get_healthz},
         "/stats": {"GET": _Handler._get_stats},
-        "/cache": {"GET": _Handler._get_cache},
         "/config": {"GET": _Handler._get_config},
         "/metrics": {"GET": _Handler._get_metrics},
         "/permutations": {"POST": _Handler._post_permutations},

@@ -388,10 +388,11 @@ class ServiceMetrics:
       pass-count and parallel-I/O histograms, and a typed error
       counter.
     * **Snapshot-bridged** -- :meth:`collect` copies one consistent
-      :class:`~repro.serve.service.ServiceStats` snapshot (plus cache
-      and per-shard counters) into the registry, so the core
-      totals on ``/metrics`` reconcile *exactly* against ``/stats``:
-      ``admitted + shed == submitted`` holds on every scrape.
+      :class:`~repro.serve.service.ServiceStats` snapshot (plus the
+      plan cache's :class:`~repro.pdm.cache.CacheInfo`) into the
+      registry, so the core totals on ``/metrics`` reconcile *exactly*
+      against ``/stats``: ``admitted + shed == submitted`` holds on
+      every scrape.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -438,7 +439,7 @@ class ServiceMetrics:
         self.up = r.gauge(
             "repro_service_up", "1 while the service accepts work, 0 once closed"
         )
-        # ---- plan cache (totals + per-shard)
+        # ---- plan cache
         self.cache_hits = r.counter(
             "repro_cache_hits_total", "Compiled-plan cache hits"
         )
@@ -454,18 +455,6 @@ class ServiceMetrics:
         )
         self.cache_size = r.gauge(
             "repro_cache_size", "Compiled plans currently held"
-        )
-        self.cache_shard_hits = r.counter(
-            "repro_cache_shard_hits_total", "Cache hits by shard", ("shard",)
-        )
-        self.cache_shard_misses = r.counter(
-            "repro_cache_shard_misses_total", "Cache misses by shard", ("shard",)
-        )
-        self.cache_shard_evictions = r.counter(
-            "repro_cache_shard_evictions_total", "Cache evictions by shard", ("shard",)
-        )
-        self.cache_shard_latch_waits = r.counter(
-            "repro_cache_shard_latch_waits_total", "Latch waits by shard", ("shard",)
         )
         # ---- event-driven request distributions
         self.latency = r.histogram(
@@ -531,11 +520,11 @@ class ServiceMetrics:
 
     # --------------------------------------------------------- snapshot side
     def collect(self, service) -> None:
-        """Copy one consistent service/cache snapshot in.
+        """Copy one service snapshot and one cache snapshot in.
 
-        Shard counters are read one shard lock at a time
-        (:meth:`~repro.pdm.cache.ShardedPlanCache.shard_infos`), never
-        all at once -- a scrape must not stall the serving hot path.
+        Each is taken under its own lock (``service.stats()``, then
+        ``cache.info()``), so a scrape never holds both, and neither
+        waits on a compile, which runs outside the cache lock.
         """
         stats = service.stats()
         self.submitted.set_total(stats.submitted)
@@ -557,20 +546,8 @@ class ServiceMetrics:
             self.cache_hits.set_total(info.hits)
             self.cache_misses.set_total(info.misses)
             self.cache_evictions.set_total(info.evictions)
-            self.cache_latch_waits.set_total(getattr(info, "latch_waits", 0))
+            self.cache_latch_waits.set_total(info.latch_waits)
             self.cache_size.set(info.size)
-            shard_infos = getattr(cache, "shard_infos", None)
-            if shard_infos is not None:
-                for shard in shard_infos():
-                    label = str(shard.shard)
-                    self.cache_shard_hits.set_total(shard.hits, shard=label)
-                    self.cache_shard_misses.set_total(shard.misses, shard=label)
-                    self.cache_shard_evictions.set_total(
-                        shard.evictions, shard=label
-                    )
-                    self.cache_shard_latch_waits.set_total(
-                        shard.latch_waits, shard=label
-                    )
 
     def render(self, service=None) -> str:
         """Scrape: optionally refresh the snapshot half, then render."""

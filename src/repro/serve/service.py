@@ -6,7 +6,7 @@ service-owned worker threads.  Each worker keeps a private
 :class:`~repro.pdm.system.ParallelDiskSystem` per geometry (reset
 before every execution, so record state, stats, traces and memory
 accounting are strictly per-request) while all workers share one
-:class:`~repro.pdm.cache.ShardedPlanCache`.
+:class:`~repro.pdm.cache.PlanCache`.
 
 On top of the PR-4 execution core this adds the robustness layer:
 
@@ -67,7 +67,7 @@ from repro.errors import (
     ServiceClosedError,
     ValidationError,
 )
-from repro.pdm.cache import ShardedPlanCache
+from repro.pdm.cache import PlanCache
 from repro.pdm.cancel import CancellationToken, run_scope
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.system import ParallelDiskSystem
@@ -180,10 +180,10 @@ class PermutationService:
     service exactly.
 
     ``cache=None`` (the default) builds a
-    :class:`~repro.pdm.cache.ShardedPlanCache`; pass ``cache=False`` to
-    serve uncached, or a *thread-safe* cache object implementing
-    ``get_or_compile`` (any :class:`~repro.pdm.cache.ShardedPlanCache`,
-    including the one-shard :class:`~repro.pdm.cache.PlanCache`).
+    :class:`~repro.pdm.cache.PlanCache` of ``cache_maxsize`` entries;
+    pass ``cache=False`` to serve uncached, or a *thread-safe* cache
+    object implementing ``get_or_compile`` and ``info`` (a shared
+    :class:`~repro.pdm.cache.PlanCache`, or a wrapper around one).
     """
 
     def __init__(
@@ -192,7 +192,6 @@ class PermutationService:
         workers: int = 4,
         cache=None,
         cache_maxsize: int = 64,
-        num_shards: int = 8,
         queue_capacity: int | None = None,
         queue_policy: str = "reject",
         default_timeout: float | None = None,
@@ -217,7 +216,7 @@ class PermutationService:
         self.default_timeout = default_timeout
         self.faults = faults
         if cache is None:
-            cache = ShardedPlanCache(maxsize=cache_maxsize, num_shards=num_shards)
+            cache = PlanCache(maxsize=cache_maxsize)
         elif cache is False:
             cache = None
         self.cache = cache

@@ -14,7 +14,7 @@ The warmup spec is JSON, either
   :func:`~repro.serve.synthetic_mix`, the standard mixed workload.
 
 Warmup runs *through the service* (not around it), so it exercises the
-same worker pool and cache shards the real traffic will -- and its
+same worker pool and plan cache the real traffic will -- and its
 requests are counted in ``stats()`` like any others.  Failures don't
 abort the boot: a key that fails to compile during warmup will fail
 identically for real clients, with the same typed error; the report

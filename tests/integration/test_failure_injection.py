@@ -230,11 +230,11 @@ class TestServiceFaultInjection:
         latch; waiters and later requesters recompile cleanly."""
         import threading
 
-        from repro.pdm.cache import ShardedPlanCache
+        from repro.pdm.cache import PlanCache
         from repro.pdm.schedule import PlanBuilder
         from repro.pdm.cache import compile_plan
 
-        cache = ShardedPlanCache(maxsize=8, num_shards=2)
+        cache = PlanCache(maxsize=8)
         key = ("poisoned",)
         start = threading.Barrier(4)
         errors, successes = [], []
@@ -258,8 +258,7 @@ class TestServiceFaultInjection:
         # none was wedged, and nothing was stored
         assert len(errors) == 4
         assert len(cache) == 0
-        for shard in cache._shards:
-            assert not shard.inflight, "failed compile leaked a latch"
+        assert not cache._inflight, "failed compile leaked a latch"
 
         # the identical key now compiles cleanly and is served as a hit
         def build_good():
@@ -278,10 +277,10 @@ class TestServiceFaultInjection:
     def test_failed_request_then_identical_key_recompiles(self, serve_geometry):
         """End-to-end: poison one worker's request mid-mix; afterwards a
         fresh identical-key request misses once, compiles, then hits."""
-        from repro.pdm.cache import ShardedPlanCache
+        from repro.pdm.cache import PlanCache
         from repro.serve import PermutationRequest
 
-        cache = ShardedPlanCache(maxsize=32, num_shards=4)
+        cache = PlanCache(maxsize=32)
         bad = PermutationRequest(perm=self._non_mrc_perm(serve_geometry), method="mrc")
         key_req = PermutationRequest(perm="bit-reversal", method="bmmc")
         with self._service(serve_geometry, cache=cache) as service:

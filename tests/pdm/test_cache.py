@@ -76,6 +76,38 @@ class TestPlanCache:
         assert cache.info().evictions == 1
         assert keys[0] not in cache and keys[1] in cache and keys[2] in cache
 
+    @pytest.mark.parametrize("maxsize", [1, 4, 10, 64])
+    def test_maxsize_is_the_capacity(self, geometry, maxsize):
+        """The service's cache holds exactly ``cache_maxsize`` plans, and
+        one more key evicts the least recently used one, whatever the
+        keys hash to."""
+        from repro.pdm.schedule import PlanBuilder
+        from repro.serve import PermutationService
+
+        builder = PlanBuilder(geometry)
+        builder.begin_pass("p")
+        builder.write(1, [0], builder.read(0, [0]))
+        compiled = compile_plan(geometry, builder.build())
+        with PermutationService(
+            geometry, workers=1, cache_maxsize=maxsize
+        ) as service:
+            cache = service.cache
+        keys = [("k", i) for i in range(maxsize + 1)]
+        for key in keys[:-1]:
+            cache.get_or_compile(key, lambda: compiled)
+        info = cache.info()
+        assert (info.evictions, info.size, info.maxsize) == (0, maxsize, maxsize)
+
+        # touch the oldest key, so the second oldest becomes the LRU one
+        _, hit = cache.get_or_compile(keys[0], lambda: compiled)
+        assert hit
+        cache.get_or_compile(keys[-1], lambda: compiled)
+        lru = keys[1] if maxsize > 1 else keys[0]
+        info = cache.info()
+        assert (info.evictions, info.size) == (1, maxsize)
+        assert lru not in cache
+        assert all(key in cache for key in keys if key != lru)
+
     def test_cached_execution_equivalent_to_strict(self, geometry):
         g = geometry
         perm = mld_perm(g)
@@ -262,15 +294,13 @@ class TestRandomizedPlannerKeys:
 
 
 class TestShardObservability:
-    """Per-shard counters (hits/misses/evictions/latch-waits) must be
-    readable one shard lock at a time, and latch waits must be counted
-    and attributed to the waiting request's ambient trace."""
+    """The cache's counters must be readable, and its entries served,
+    while a compile is in flight; latch waits must be counted and
+    attributed to the waiting request's ambient trace."""
 
     @pytest.fixture
-    def sharded(self):
-        from repro.pdm.cache import ShardedPlanCache
-
-        return ShardedPlanCache(maxsize=16, num_shards=4)
+    def plan_cache(self):
+        return PlanCache(maxsize=16)
 
     def _compiled(self, geometry):
         from repro.pdm.schedule import PlanBuilder
@@ -281,26 +311,14 @@ class TestShardObservability:
         builder.write(1, [0], slots)
         return compile_plan(geometry, builder.build())
 
-    def test_shard_infos_reconcile_with_totals(self, geometry, sharded):
-        compiled = self._compiled(geometry)
-        for i in range(12):
-            sharded.get_or_compile(("k", i % 5), lambda: compiled)
-        info = sharded.info()
-        shards = sharded.shard_infos()
-        assert len(shards) == 4
-        assert [s.shard for s in shards] == [0, 1, 2, 3]
-        assert sum(s.hits for s in shards) == info.hits == 7
-        assert sum(s.misses for s in shards) == info.misses == 5
-        assert sum(s.evictions for s in shards) == info.evictions == 0
-        assert sum(s.size for s in shards) == info.size == 5
-
-    def test_shard_infos_while_compile_in_flight(self, geometry, sharded):
-        """A scrape must not block behind (or deadlock with) a compile:
-        compiles run outside the shard lock, so shard_infos() answers
-        while one is in flight and reports it."""
+    def test_info_and_hits_while_compile_in_flight(self, geometry, plan_cache):
+        """A scrape and a hit must not block behind (or deadlock with) a
+        compile: compiles run outside the cache's one lock, so info()
+        and a hit on another key answer while one is in flight."""
         import threading
 
         compiled = self._compiled(geometry)
+        plan_cache.get_or_compile(("warm",), lambda: compiled)
         started, release = threading.Event(), threading.Event()
 
         def slow_compile():
@@ -309,26 +327,37 @@ class TestShardObservability:
             return compiled
 
         builder = threading.Thread(
-            target=sharded.get_or_compile, args=(("slow",), slow_compile)
+            target=plan_cache.get_or_compile, args=(("slow",), slow_compile)
         )
         builder.start()
         assert started.wait(5.0)
+        answers = {}
+
+        def scrape_and_hit():
+            answers["info"] = plan_cache.info()
+            answers["hit"] = plan_cache.get_or_compile(("warm",), lambda: 1 / 0)
+
         try:
-            shards = sharded.shard_infos()  # must return promptly
-            assert sum(s.inflight for s in shards) == 1
+            reader = threading.Thread(target=scrape_and_hit)
+            reader.start()
+            reader.join(5.0)
+            assert not reader.is_alive(), "info() or a hit waited on a compile"
         finally:
             release.set()
             builder.join(5.0)
-        assert sum(s.inflight for s in sharded.shard_infos()) == 0
+        assert not builder.is_alive()
+        assert answers["info"].misses == 2 and answers["info"].size == 1
+        assert answers["hit"] == (compiled, True)
+        info = plan_cache.info()
+        assert (info.hits, info.misses, info.size) == (1, 2, 2)
 
-    def test_latch_wait_counted_per_shard_and_traced(self, geometry):
+    def test_latch_wait_counted_and_traced(self, geometry):
         import threading
         import time
 
-        from repro.pdm.cache import ShardedPlanCache
         from repro.pdm.cancel import run_scope
 
-        cache = ShardedPlanCache(maxsize=4, num_shards=1)
+        cache = PlanCache(maxsize=4)
         compiled = self._compiled(geometry)
         started, release = threading.Event(), threading.Event()
 
@@ -359,25 +388,22 @@ class TestShardObservability:
         waiting.start()
         # the waiter registers on the latch before the compile finishes
         deadline = time.monotonic() + 5.0
-        while cache.latch_waits == 0 and time.monotonic() < deadline:
+        while cache.info().latch_waits == 0 and time.monotonic() < deadline:
             time.sleep(0.002)
         release.set()
         builder.join(5.0)
         waiting.join(5.0)
 
-        assert cache.latch_waits == 1
-        assert cache.info().latch_waits == 1
-        shard = cache.shard_infos()[0]
-        assert shard.latch_waits == 1
-        assert shard.hits == 1 and shard.misses == 1
+        info = cache.info()
+        assert info.latch_waits == 1
+        assert info.hits == 1 and info.misses == 1
         assert trace.timings["latch_wait"] > 0.0
 
-    def test_single_thread_never_latch_waits(self, geometry, sharded):
+    def test_single_thread_never_latch_waits(self, geometry, plan_cache):
         compiled = self._compiled(geometry)
         for _ in range(3):
-            sharded.get_or_compile(("k",), lambda: compiled)
-        assert sharded.latch_waits == 0
-        assert sharded.info().latch_waits == 0
+            plan_cache.get_or_compile(("k",), lambda: compiled)
+        assert plan_cache.info().latch_waits == 0
 
 
 class TestMaxsizeValidation:
@@ -397,10 +423,13 @@ class TestMaxsizeValidation:
 
     @pytest.mark.parametrize("bad", [0, -1, -64])
     def test_sharded_cache_rejects_unholdable_maxsize(self, bad):
+        # perfbench/layers.py times the cache under this name, so it
+        # must stay the class the service builds.
         from repro.pdm.cache import ShardedPlanCache
 
+        assert ShardedPlanCache is PlanCache
         with pytest.raises(self._ValidationError, match="maxsize"):
-            ShardedPlanCache(maxsize=bad, num_shards=4)
+            ShardedPlanCache(maxsize=bad)
 
     def test_maxsize_one_holds_exactly_one_entry(self, geometry):
         # the smallest legal cache must actually cache

@@ -1,23 +1,27 @@
 """Eviction-policy regression under the zipf-hot-key golden trace.
 
-The serving claim behind :class:`ShardedPlanCache`'s LRU policy is that
+The serving claim behind :class:`PlanCache`'s LRU policy is that
 *skewed* traffic keeps a small cache useful: the hot head stays
 resident while the cold tail churns through the victim slots.  This
 suite pins that behavior with the committed ``zipf-hot-key`` golden
-trace (64 events, Zipf alpha=1.5 over 16 keys) pushed through a cache
-of 4 entries -- a quarter of the key space.
+trace (64 events, Zipf alpha=1.5 over 16 keys) pushed through the
+service's own cache at 4 entries -- a quarter of the key space.
 
-Configuration is deliberately ``workers=1, num_shards=1``: one worker
-makes the request order the submission order, and one shard removes
-PYTHONHASHSEED's influence on shard assignment, so the counter
-arithmetic is exact and reproducible, not merely floored.
+Configuration is deliberately ``workers=1``: one worker makes the
+request order the submission order, and the cache's one LRU order
+depends on nothing else, so the counter arithmetic is exact and
+reproducible under any ``PYTHONHASHSEED``, not merely floored.
 """
 
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from repro.pdm.cache import ShardedPlanCache
+import repro
 from repro.serve import PermutationService
 from repro.serve.workload import WorkloadTrace, replay_trace
 
@@ -25,12 +29,17 @@ WORKLOADS_DIR = pathlib.Path(__file__).parent.parent.parent / "benchmarks" / "wo
 
 CACHE_SIZE = 4
 
+#: (hits, misses, evictions, size) of the zipf-hot-key replay above.
+ZIPF_COUNTERS = (49, 15, 11, CACHE_SIZE)
+
 
 def _replay_through_small_cache(trace):
-    cache = ShardedPlanCache(maxsize=CACHE_SIZE, num_shards=1)
-    with PermutationService(trace.geometry, workers=1, cache=cache) as service:
+    with PermutationService(
+        trace.geometry, workers=1, cache_maxsize=CACHE_SIZE
+    ) as service:
         report = replay_trace(service, trace, as_fast_as_possible=True)
-    return report, cache.info()
+        info = service.cache.info()
+    return report, info
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +96,34 @@ def test_counters_are_deterministic_across_replays(zipf_trace):
         second.hits, second.misses, second.evictions, second.size
     )
     assert first_report.workload_digest == second_report.workload_digest
+
+
+_REPLAY_IN_CHILD = f"""
+import json, pathlib, sys
+from repro.serve import PermutationService
+from repro.serve.workload import WorkloadTrace, replay_trace
+
+trace = WorkloadTrace.load(pathlib.Path(sys.argv[1]))
+with PermutationService(trace.geometry, workers=1, cache_maxsize={CACHE_SIZE}) as service:
+    replay_trace(service, trace, as_fast_as_possible=True)
+    info = service.cache.info()
+print(json.dumps([info.hits, info.misses, info.evictions, info.size]))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4"])
+def test_counters_do_not_depend_on_the_hash_seed(hash_seed):
+    """Plan keys hold strings, whose hashes change with PYTHONHASHSEED;
+    which plans evict each other must not."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _REPLAY_IN_CHILD,
+         str(WORKLOADS_DIR / "zipf-hot-key.jsonl")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert tuple(json.loads(done.stdout)) == ZIPF_COUNTERS

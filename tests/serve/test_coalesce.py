@@ -37,7 +37,7 @@ from repro.errors import (
     ServiceClosedError,
     TransientError,
 )
-from repro.pdm.cache import ShardedPlanCache
+from repro.pdm.cache import PlanCache
 from repro.pdm.geometry import DiskGeometry
 from repro.serve import (
     PermutationRequest,
@@ -65,13 +65,13 @@ def _strict_digest(request=HOT):
 class _GateCache:
     """A plan cache whose compiles park on an event until released.
 
-    Delegates storage to a real :class:`ShardedPlanCache`; ``compiles``
+    Delegates storage to a real :class:`PlanCache`; ``compiles``
     counts executions that actually reached a compile, which is the
     single-flight acceptance number.
     """
 
-    def __init__(self, maxsize=32, num_shards=4):
-        self.inner = ShardedPlanCache(maxsize=maxsize, num_shards=num_shards)
+    def __init__(self, maxsize=32):
+        self.inner = PlanCache(maxsize=maxsize)
         self.gate = threading.Event()
         self.compiles = 0
         self._lock = threading.Lock()

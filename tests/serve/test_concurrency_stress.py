@@ -1,4 +1,4 @@
-"""Concurrency stress: 16 threads hammering one shared sharded cache.
+"""Concurrency stress: 16 threads hammering one shared plan cache.
 
 The serving contract under test:
 
@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.pdm.cache import PlanCache, ShardedPlanCache
+from repro.pdm.cache import PlanCache
 from repro.pdm.geometry import DiskGeometry
 from repro.serve import (
     PermutationRequest,
@@ -65,50 +65,45 @@ class TestSharedCacheStress:
     def test_16_threads_byte_identical_and_exact_counters(self, reference):
         requests, expected = reference
         # The deterministic counter oracle: the same workload served
-        # sequentially through an unsharded cache of the same capacity.
+        # sequentially through a cache of the same capacity.
         oracle = PlanCache(maxsize=256)
         run_sequential(GEOMETRY, requests, cache=oracle)
 
         for iteration in range(ITERATIONS):
-            # PlanCache is the one-shard form: every worker on one lock.
-            for cache in (
-                ShardedPlanCache(maxsize=256, num_shards=8),
-                PlanCache(maxsize=256),
-            ):
-                where = f"iteration {iteration}, {type(cache).__name__}"
-                with PermutationService(
-                    GEOMETRY, workers=THREADS, cache=cache
-                ) as svc:
-                    results = svc.run(requests)
+            # every worker on the cache's one lock
+            cache = PlanCache(maxsize=256)
+            where = f"iteration {iteration}"
+            with PermutationService(GEOMETRY, workers=THREADS, cache=cache) as svc:
+                results = svc.run(requests)
 
-                for got, want in zip(results, expected):
-                    assert got.ok, f"{where}: {got.summary()}"
-                    assert got.digest == want.digest, (
-                        f"{where}, request {got.index} "
-                        f"({got.request.describe()}): portion bytes diverged "
-                        "from the sequential strict reference"
-                    )
-                    assert got.report.io == want.report.io
-                    assert got.report.passes == want.report.passes
-
-                info = cache.info()
-                ref = oracle.info()
-                # compile-once: misses == distinct keys == sequential
-                # misses; a torn or double compile would add a miss.
-                assert info.misses == ref.misses, where
-                assert info.hits == ref.hits, where
-                assert info.size == ref.size, where
-                assert info.evictions == 0
-                assert info.hits + info.misses == len(
-                    [r for r in requests if r.method != "general"]
+            for got, want in zip(results, expected):
+                assert got.ok, f"{where}: {got.summary()}"
+                assert got.digest == want.digest, (
+                    f"{where}, request {got.index} "
+                    f"({got.request.describe()}): portion bytes diverged "
+                    "from the sequential strict reference"
                 )
+                assert got.report.io == want.report.io
+                assert got.report.passes == want.report.passes
+
+            info = cache.info()
+            ref = oracle.info()
+            # compile-once: misses == distinct keys == sequential
+            # misses; a torn or double compile would add a miss.
+            assert info.misses == ref.misses, where
+            assert info.hits == ref.hits, where
+            assert info.size == ref.size, where
+            assert info.evictions == 0
+            assert info.hits + info.misses == len(
+                [r for r in requests if r.method != "general"]
+            )
 
     def test_16_threads_evicting_cache_reconciles(self, reference):
         """Under eviction pressure the counters still reconcile exactly:
         every miss stores exactly once, so size + evictions == misses."""
         requests, expected = reference
         for iteration in range(ITERATIONS):
-            cache = ShardedPlanCache(maxsize=4, num_shards=4)
+            cache = PlanCache(maxsize=4)
             with PermutationService(GEOMETRY, workers=THREADS, cache=cache) as svc:
                 results = svc.run(requests)
             for got, want in zip(results, expected):
@@ -128,7 +123,7 @@ class TestSharedCacheStress:
         )
         (want,) = _strict_reference([hot])
         for _ in range(ITERATIONS):
-            cache = ShardedPlanCache(maxsize=16, num_shards=4)
+            cache = PlanCache(maxsize=16)
             with PermutationService(GEOMETRY, workers=THREADS, cache=cache) as svc:
                 results = svc.run([hot] * THREADS)
             assert all(r.ok and r.digest == want.digest for r in results)
@@ -163,7 +158,7 @@ class TestDistributionSeedIsolation:
         reference = run_sequential(GEOMETRY, requests, cache=None)
         # interleave the seeds so different-seed requests race
         concurrent = requests * 3
-        cache = ShardedPlanCache(maxsize=32, num_shards=4)
+        cache = PlanCache(maxsize=32)
         with PermutationService(GEOMETRY, workers=8, cache=cache) as svc:
             results = svc.run(concurrent)
         by_seed = {ref.request.seed: ref for ref in reference}

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.errors import DeadlineExceeded, RequestCancelled
-from repro.pdm.cache import ShardedPlanCache, compile_plan
+from repro.pdm.cache import PlanCache, compile_plan
 from repro.pdm.cancel import CancellationToken, checkpoint, current_token, run_scope
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import PlanBuilder
@@ -166,7 +166,7 @@ class TestLatchWaitCancellation:
     def test_waiter_deadline_expires_during_cold_compile(self):
         """A waiter queued on another thread's in-flight compile latch
         honors its own deadline; the builder lands the entry anyway."""
-        cache = ShardedPlanCache(maxsize=8, num_shards=1)
+        cache = PlanCache(maxsize=8)
         geometry = GEOMETRY
         key = ("latch-test", 0)
         builder_started = threading.Event()
@@ -217,7 +217,7 @@ class TestLatchWaitCancellation:
         assert info.misses == 1 and info.size == 1
         again, hit = cache.get_or_compile(key, _compiled)
         assert hit is True and again is compiled
-        assert all(not s.inflight for s in cache._shards)
+        assert not cache._inflight
 
     def test_service_survives_latch_wait_expiry(self):
         """End to end: two cold requests for one key, the builder stalls
@@ -228,7 +228,7 @@ class TestLatchWaitCancellation:
         with PermutationService(GEOMETRY, workers=2, faults=faults) as service:
             builder_fut = service.submit(request)
             # the builder holds the key's latch through its stalled compile
-            _await(lambda: any(s.inflight for s in service.cache._shards))
+            _await(lambda: bool(service.cache._inflight))
             waiter_fut = service.submit(
                 PermutationRequest(
                     perm="bit-reversal", method="bmmc", timeout=0.05

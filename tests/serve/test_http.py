@@ -17,6 +17,7 @@ import urllib.error
 import urllib.request
 import weakref
 from concurrent.futures import Future
+from dataclasses import asdict
 
 import pytest
 
@@ -180,14 +181,15 @@ class TestIntrospection:
         assert stats["admitted"] + stats["shed"] == stats["submitted"]
         assert stats["cache"]["misses"] >= 1
 
-    def test_cache_shows_per_shard_detail(self, geometry):
-        with make_frontend(geometry, workers=2, num_shards=4) as fe:
+    def test_cache_info_is_served_by_stats_alone(self, geometry):
+        with make_frontend(geometry, workers=2) as fe:
             http_json("POST", fe.url, "/permutations", dict(TRANSPOSE))
             status, body = http_json("GET", fe.url, "/cache")
-        assert status == 200
-        assert len(body["shards"]) == 4
-        total_misses = sum(s["misses"] for s in body["shards"])
-        assert total_misses == body["cache"]["misses"]
+            _, stats = http_json("GET", fe.url, "/stats")
+            info = fe.service.cache.info()
+        assert status == 404
+        assert stats["cache"] == asdict(info)
+        assert info.misses == 1
 
     def test_config_reports_knobs(self, geometry):
         with make_frontend(

@@ -240,23 +240,20 @@ class TestServiceMetrics:
         assert isinstance(result.error, InjectedFault)
         assert metrics.errors.value(type="InjectedFault") == 1.0
 
-    def test_cache_and_shard_counters_bridged(self, geometry):
+    def test_cache_counters_bridged(self, geometry):
         metrics = ServiceMetrics()
-        with PermutationService(
-            geometry, workers=2, num_shards=4, metrics=metrics
-        ) as service:
+        with PermutationService(geometry, workers=2, metrics=metrics) as service:
             service.run(synthetic_mix(8, distinct_seeds=1))
-            parsed = parse_prometheus_text(metrics.render(service=service))
+            text = metrics.render(service=service)
             info = service.cache.info()
+        parsed = parse_prometheus_text(text)
         assert parsed["repro_cache_hits_total"] == info.hits
         assert parsed["repro_cache_misses_total"] == info.misses
+        assert parsed["repro_cache_evictions_total"] == info.evictions
+        assert parsed["repro_cache_latch_waits_total"] == info.latch_waits
         assert parsed["repro_cache_size"] == info.size
-        shard_hits = sum(
-            v
-            for k, v in parsed.items()
-            if k.startswith("repro_cache_shard_hits_total")
-        )
-        assert shard_hits == info.hits
+        assert info.hits + info.misses == 8
+        assert "repro_cache_shard_" not in text
 
     def test_up_gauge_follows_close(self, geometry):
         metrics = ServiceMetrics()

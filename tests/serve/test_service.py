@@ -1,9 +1,9 @@
-"""Unit tests for :mod:`repro.serve` and the sharded plan cache.
+"""Unit tests for :mod:`repro.serve` and its shared plan cache.
 
 Single-threaded behavior first: request construction, per-request
-isolation, result bookkeeping, and the ShardedPlanCache's LRU/counter
-semantics.  The concurrency suites (stress, property, fault-injection)
-build on these.
+isolation, result bookkeeping, and the PlanCache's compile-once and
+counter semantics.  The concurrency suites (stress, property,
+fault-injection) build on these.
 """
 
 import json
@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.errors import InjectedFault, NotInClassError, ValidationError
-from repro.pdm.cache import PlanCache, ShardedPlanCache, compile_plan
+from repro.pdm.cache import PlanCache, compile_plan
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import PlanBuilder
 from repro.serve import (
@@ -42,23 +42,12 @@ def _trivial_compiled(geometry, label="p"):
 
 
 # --------------------------------------------------------------------------
-# ShardedPlanCache semantics
+# PlanCache semantics
 # --------------------------------------------------------------------------
 
 class TestShardedPlanCache:
-    def test_lookup_store_roundtrip(self, geometry):
-        cache = ShardedPlanCache(maxsize=8, num_shards=4)
-        compiled = _trivial_compiled(geometry)
-        assert cache.lookup(("k",)) is None
-        cache.store(("k",), compiled)
-        assert cache.lookup(("k",)) is compiled
-        assert ("k",) in cache
-        assert len(cache) == 1
-        info = cache.info()
-        assert (info.hits, info.misses, info.evictions) == (1, 1, 0)
-
     def test_get_or_compile_compiles_once(self, geometry):
-        cache = ShardedPlanCache(maxsize=8, num_shards=4)
+        cache = PlanCache(maxsize=8)
         calls = []
 
         def compile_fn():
@@ -69,12 +58,13 @@ class TestShardedPlanCache:
         second, hit2 = cache.get_or_compile(("k",), compile_fn)
         assert (hit1, hit2) == (False, True)
         assert first is second
+        assert ("k",) in cache and len(cache) == 1
         assert len(calls) == 1
         info = cache.info()
         assert (info.hits, info.misses) == (1, 1)
 
     def test_failed_compile_leaves_cache_clean(self, geometry):
-        cache = ShardedPlanCache(maxsize=8, num_shards=4)
+        cache = PlanCache(maxsize=8)
 
         def boom():
             raise RuntimeError("planner exploded")
@@ -88,26 +78,7 @@ class TestShardedPlanCache:
         )
         assert not hit and compiled is not None
         assert len(cache) == 1
-        assert cache.misses == 2  # the failed attempt counted too
-
-    def test_per_shard_lru_eviction(self, geometry):
-        cache = ShardedPlanCache(maxsize=2, num_shards=1)
-        for key in ("a", "b", "c"):
-            cache.store((key,), _trivial_compiled(geometry, key))
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert ("a",) not in cache  # LRU order: oldest evicted
-        assert ("b",) in cache and ("c",) in cache
-
-    def test_maxsize_smaller_than_shards_shrinks_shards(self):
-        cache = ShardedPlanCache(maxsize=2, num_shards=16)
-        assert cache.num_shards == 2  # every shard can hold >= 1 entry
-
-    def test_clear(self, geometry):
-        cache = ShardedPlanCache(maxsize=8, num_shards=2)
-        cache.store(("k",), _trivial_compiled(geometry))
-        cache.clear()
-        assert len(cache) == 0
+        assert cache.info().misses == 2  # the failed attempt counted too
 
     def test_plancache_get_or_compile_parity(self, geometry):
         """The base PlanCache exposes the same protocol the wrappers use."""

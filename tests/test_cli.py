@@ -170,6 +170,7 @@ class TestServe:
                 id="--breaker-cooldown",
             ),
             pytest.param(["serve", "--count", "1", "--no-optimize"], id="--no-optimize"),
+            pytest.param(["serve", "--count", "1", "--shards", "4"], id="--shards"),
             pytest.param(["run", "--engine", "fast", "--optimize"], id="run--optimize"),
         ],
     )
