@@ -21,6 +21,7 @@ Results: ``benchmarks/results/BENCH_http.md`` + ``BENCH_http.json``
 
 import json
 import os
+from dataclasses import fields
 
 from repro.pdm.geometry import DiskGeometry
 from repro.serve import (
@@ -28,6 +29,7 @@ from repro.serve import (
     HttpFrontend,
     PermutationService,
     ServiceMetrics,
+    ServiceStats,
     run_loadgen,
     synthetic_mix,
     warm_service,
@@ -61,7 +63,8 @@ def _serve(workers=WORKERS, **kwargs):
 def _assert_reconciled(report):
     assert report["reconciled"] is True, report["reconcile_problems"]
     stats = report["stats"]
-    assert stats["admitted"] + stats["shed"] == stats["submitted"]
+    snapshot = ServiceStats(**{f.name: stats[f.name] for f in fields(ServiceStats)})
+    assert snapshot.check() == []
 
 
 def test_http_loadgen_reconciles():

@@ -28,6 +28,7 @@ import math
 from repro.bits import linalg
 from repro.bits.colops import is_mld_form, is_mrc_form
 from repro.bits.matrix import BitMatrix
+from repro.core.inverse_mld import is_inverse_mld
 from repro.pdm.geometry import DiskGeometry
 
 __all__ = [
@@ -108,13 +109,18 @@ def theorem21_upper_bound(geometry: DiskGeometry, rank_g: int) -> int:
 def predicted_passes(matrix: BitMatrix, geometry: DiskGeometry) -> int:
     """Exact pass count of our implementation for a characteristic matrix.
 
-    1 for MRC or MLD matrices (direct shortcut), else
+    1 for MRC, MLD or inverse-MLD matrices (the one-pass shortcuts
+    :func:`~repro.core.bmmc_algorithm.plan_bmmc_passes` takes), else
     ``g + 1 = ceil(rho / lg(M/B)) + 1`` with
     ``rho = rank A[m:, 0:m]`` (eqs. 16-17: ``rho <= rank gamma +
     lg(M/B)``, which is how Theorem 21's form arises).
     """
     g = geometry
-    if is_mrc_form(matrix, g.m) or is_mld_form(matrix, g.b, g.m):
+    if (
+        is_mrc_form(matrix, g.m)
+        or is_mld_form(matrix, g.b, g.m)
+        or is_inverse_mld(matrix, g.b, g.m)
+    ):
         return 1
     rho = linalg.rank(matrix[g.m : g.n, 0 : g.m])
     return _ceil_div(rho, g.m - g.b) + 1

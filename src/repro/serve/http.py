@@ -17,7 +17,11 @@ Routes
     outcome status; ``async`` answers ``202`` immediately with the
     service-assigned ``request_id`` for polling.  A ``sync`` call whose
     ``wait_timeout`` elapses degrades to the async answer -- the work
-    is not cancelled, the client just polls for it.
+    is not cancelled, the client just polls for it.  A ``sync`` call
+    without a ``wait_timeout`` runs on the handler thread that read it
+    when the service's queue is empty and one of its ``workers`` slots
+    is free (``submit(run_here=True)``), so it pays no handoff to a
+    worker thread and back; otherwise it queues like any request.
 
     An ``idempotency_key`` (body field, or the ``Idempotency-Key``
     header; both present must agree) makes the POST safely retryable:
@@ -51,10 +55,16 @@ twice: ``ServiceClosedError`` *is a* ``ValidationError`` but means
 ``RequestCancelled`` but deserves 504.
 
 Transport: every connection is HTTP/1.1 keep-alive with ``TCP_NODELAY``
-set on the accepted socket.  ``BaseHTTPRequestHandler`` buffers the
-status line and headers into one send and the body goes out in a
-second; with Nagle's algorithm on, that second send waits for the
-client's delayed ACK (about 40 ms) on every keep-alive answer.  Every
+set on the accepted socket.  The request head is read by
+``_Handler.parse_request``: the stdlib's request-line checks and
+statuses, with the header fields read by a small reader
+(``_read_fields``) instead of ``email.feedparser``.  Each answer's
+status line, ``Server``, ``Date``, ``Content-Type`` and
+``Content-Length`` fields and body go out in one write (error pages
+from ``send_error`` keep the stdlib's two).  ``TCP_NODELAY`` stays:
+with Nagle's algorithm on, a send that follows another unacknowledged
+one waits for the client's delayed ACK (about 40 ms), and one write
+alone did not stop a 14.6 KB ``/metrics`` scrape from waiting.  Every
 JSON body is encoded by one function, ``_encode_json``: compact
 separators and sorted keys, so the C encoder does the work
 (``indent`` forces the pure-Python one).
@@ -203,6 +213,85 @@ def _resolved(entry) -> bool:
     return isinstance(entry, _Answer) or entry.done()
 
 
+#: ``http.client``'s limits on a request head, which the stdlib server
+#: applies: the longest line, and the most lines, blank line included.
+_MAX_LINE = 65536
+_MAX_FIELDS = 100
+
+
+class _HeadTooLarge(Exception):
+    """A request head over a limit; the args are ``send_error``'s
+    message and explanation."""
+
+
+class _Fields(dict):
+    """A request's header fields, keyed by lower-cased name.  The first
+    occurrence of a name wins, and ``get`` matches names in any case,
+    as ``email.message.Message.get`` does."""
+
+    __slots__ = ()
+
+    def get(self, name, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+def _read_fields(rfile) -> _Fields:
+    """Read the header fields up to the blank line, in place of the
+    stdlib's ``email.feedparser``.
+
+    As in ``email.feedparser``: a value loses its leading blanks and
+    its line end; a line that starts with a blank continues the field
+    before it; an mbox ``From `` line and a field with no name are
+    skipped; and any other line that is not a field ends the fields
+    (the rest is read and dropped).
+    """
+    lines = []
+    while True:
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _HeadTooLarge(
+                "Line too long",
+                f"got more than {_MAX_LINE} bytes when reading header line",
+            )
+        lines.append(line)
+        if len(lines) > _MAX_FIELDS:
+            raise _HeadTooLarge(
+                "Too many headers", f"got more than {_MAX_FIELDS} headers"
+            )
+        if line in (b"\r\n", b"\n", b""):
+            break
+    pairs: list[list[str]] = []
+    for line in lines[:-1]:
+        text = line.decode("iso-8859-1")
+        if text[0] in " \t":
+            if pairs:
+                pairs[-1][1] += text
+            continue
+        if text.startswith("From "):
+            continue
+        name, colon, value = text.partition(":")
+        if not (colon and name.isascii() and name.isprintable()) or " " in name:
+            break
+        if name:
+            pairs.append([name.lower(), value.lstrip(" \t")])
+    fields = _Fields()
+    for name, value in pairs:
+        fields.setdefault(name, value.rstrip("\r\n"))
+    return fields
+
+
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``HTTP/x.y`` as ``(x, y)``; ``None`` where the stdlib answers 400."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(
+        part.isascii() and part.isdigit() and len(part) <= 10 for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
 class _Handler(BaseHTTPRequestHandler):
     """One HTTP exchange.  All routing happens in :meth:`_dispatch`;
     the do_* methods only name the verb."""
@@ -210,25 +299,93 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
     #: ``StreamRequestHandler.setup`` sets ``TCP_NODELAY`` on the socket:
-    #: the header and body sends must not wait for the peer's ACK.
+    #: no send may wait for the peer's ACK of the one before.
     disable_nagle_algorithm = True
 
     # ------------------------------------------------------------ plumbing
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the metrics registry is the access log
 
+    def parse_request(self) -> bool:
+        """Read the request line and the header fields.
+
+        The stdlib's checks, statuses and connection handling, with the
+        fields read by :func:`_read_fields` instead of
+        ``email.feedparser``.  Returns False when the request is not to
+        be served; an error, if there is one, is answered first.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    400, f"Bad HTTP/0.9 request type ({command!r})"
+                )
+                return False
+        self.command = command
+        # As the stdlib does: '//host/x' must not read as a network path.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = _read_fields(self.rfile)
+        except _HeadTooLarge as exc:
+            self.send_error(431, *exc.args)
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("Expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
     @property
     def frontend(self) -> "HttpFrontend":
         return self.server.frontend
 
     def _send(self, status: int, body: bytes, content_type: str) -> None:
+        """Answer with the stdlib's status line and ``Server`` and
+        ``Date`` fields, then ``Content-Type`` and ``Content-Length``:
+        head and body in one write."""
         self._status = status
         self._account(status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # HTTP/0.9 has no head
+            return
+        reason = self.responses.get(status, ("",))[0]
+        head = (
+            f"{self.protocol_version} {status} {reason}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
 
     def _send_json(self, status: int, payload: dict) -> None:
         self._send(status, _encode_json(payload), "application/json")
@@ -452,10 +609,16 @@ class _Handler(BaseHTTPRequestHandler):
         wait_timeout = self._coerce_wait_timeout(wait_timeout)
         idem_key = self._coerce_idempotency_key(body_key, header_key)
         request = request_from_dict(spec)
+        # A sync request that may not degrade to polling runs on this
+        # thread when a slot is free: no handoff to a worker and back.
+        run_here = mode == "sync" and wait_timeout is None
         if idem_key is not None:
-            request_id, entry = fe.submit_idempotent(idem_key, request)
+            request_id, entry = fe.submit_idempotent(
+                idem_key, request, run_here=run_here
+            )
         else:
-            entry = fe.service.submit(request)  # may raise ServiceClosedError
+            # may raise ServiceClosedError
+            entry = fe.service.submit(request, run_here=run_here)
             request_id = entry.request_id
             fe.track(request_id, entry)
         if mode == "async":
@@ -693,9 +856,13 @@ class HttpFrontend:
                     break
         future.add_done_callback(partial(self.answer, request_id))
 
-    def submit_idempotent(self, key: str, request) -> tuple[str, object]:
+    def submit_idempotent(
+        self, key: str, request, run_here: bool = False
+    ) -> tuple[str, object]:
         """Submit under an idempotency key: first caller executes,
-        repeats map to the same ``request_id``.
+        repeats map to the same ``request_id``.  ``run_here`` passes to
+        :meth:`PermutationService.submit`; a repeat waits until the
+        first submit returns, so behind a ``run_here`` execution.
 
         Returns ``(request_id, entry)``, where ``entry`` is the request's
         backlog entry: its future while pending, its stored answer once
@@ -736,7 +903,7 @@ class HttpFrontend:
                 # The key aged out with its answer while this repeat
                 # waited: the repeat is a fresh submission now.
         try:
-            future = self.service.submit(request)
+            future = self.service.submit(request, run_here=run_here)
         except BaseException as exc:
             with self._lock:
                 entry.error = exc

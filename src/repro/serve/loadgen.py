@@ -34,9 +34,11 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 from repro.serve.metrics import parse_prometheus_text
 from repro.serve.requests import request_to_dict
+from repro.serve.service import ServiceStats
 from repro.serve.workload import mix_trace
 
 __all__ = ["http_json", "http_text", "reconcile", "run_loadgen"]
@@ -90,22 +92,19 @@ def reconcile(stats: dict, metrics_text: str) -> list[str]:
     Returns the list of violated equalities (empty == reconciled).  The
     two documents are scraped at different instants, so only quantities
     that are stable once traffic has drained are compared -- the caller
-    is expected to scrape after its burst completes.  The internal
-    invariant ``admitted + shed == submitted`` is checked on *each*
-    document, which needs no quiescence at all.
+    is expected to scrape after its burst completes.  Invariants that
+    need no quiescence at all are checked on *each* document: every
+    :meth:`ServiceStats.check` invariant on the snapshot, and
+    ``admitted + shed == submitted`` on the page.
     """
     samples = parse_prometheus_text(metrics_text)
-    problems = []
+    snapshot = ServiceStats(**{f.name: stats[f.name] for f in fields(ServiceStats)})
+    problems = [f"stats: {problem}" for problem in snapshot.check()]
 
     def check(label: str, left, right) -> None:
         if left != right:
             problems.append(f"{label}: {left!r} != {right!r}")
 
-    check(
-        "stats: admitted + shed == submitted",
-        stats["admitted"] + stats["shed"],
-        stats["submitted"],
-    )
     check(
         "metrics: admitted + shed == submitted",
         samples.get("repro_requests_admitted_total", 0)

@@ -2,11 +2,23 @@
 
 :class:`PermutationService` executes a stream of
 :class:`~repro.serve.requests.PermutationRequest`\\ s on a pool of
-service-owned worker threads.  Each worker keeps a private
-:class:`~repro.pdm.system.ParallelDiskSystem` per geometry (reset
-before every execution, so record state, stats, traces and memory
-accounting are strictly per-request) while all workers share one
+service-owned worker threads, and all executions share one
 :class:`~repro.pdm.cache.PlanCache`.
+
+**Slots** -- the service owns ``workers`` execution slots, named
+``perm-worker-0`` and up.  A request takes a free slot under the
+service lock when it starts executing and gives it back when it
+finishes; ``running`` counts the slots taken, so at most ``workers``
+executions run at once, and ``ServiceResult.worker`` names the slot.
+Each slot keeps a :class:`~repro.pdm.system.ParallelDiskSystem` per
+geometry (reset before every execution, so record state, stats, traces
+and memory accounting are strictly per-request).  A worker thread takes
+a slot when it dequeues, and waits while none is free.  A caller that
+passes ``submit(request, run_here=True)`` -- the HTTP frontend's sync
+``POST`` does -- executes its own request on its own thread when the
+queue is empty and a slot is free, and pays no handoff to a worker and
+back; otherwise the request queues as any other.  A queued request is
+never overtaken: nothing runs ahead of a non-empty queue.
 
 On top of the PR-4 execution core this adds the robustness layer:
 
@@ -96,6 +108,8 @@ class ServiceStats:
     * ``failed <= completed``; ``deadline_exceeded + cancelled <= failed``
     * ``coalesced <= completed``
 
+    :meth:`check` names the ones a snapshot violates.
+
     ``coalesced`` counts follower requests resolved without an
     execution of their own (single-flight coalescing; includes
     followers whose deadline expired while attached), and
@@ -118,6 +132,51 @@ class ServiceStats:
     closed: bool
     coalesced: int = 0
     coalesced_in_flight: int = 0
+
+    def check(self) -> list[str]:
+        """The invariants above that this snapshot violates, one line
+        each; empty when the books balance."""
+        in_flight = (
+            self.completed + self.queue_depth + self.running
+            + self.coalesced_in_flight
+        )
+        checks = [
+            (self.admitted + self.shed == self.submitted,
+             f"admitted {self.admitted} + shed {self.shed} != "
+             f"submitted {self.submitted}"),
+            (self.admitted == in_flight,
+             f"admitted {self.admitted} != completed + queue_depth + "
+             f"running + coalesced_in_flight = {in_flight}"),
+            (self.failed <= self.completed
+             and self.deadline_exceeded + self.cancelled <= self.failed,
+             f"failed {self.failed} > completed {self.completed}, or "
+             f"deadline_exceeded {self.deadline_exceeded} + cancelled "
+             f"{self.cancelled} > failed"),
+            (self.coalesced <= self.completed,
+             f"coalesced {self.coalesced} > completed {self.completed}"),
+        ]
+        return [problem for ok, problem in checks if not ok]
+
+
+class _Slot:
+    """One execution slot: the name results carry as their ``worker``,
+    and the slot's pooled systems, one per geometry.  Held by one
+    thread at a time, so its systems need no lock."""
+
+    __slots__ = ("name", "systems")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.systems: dict[tuple, ParallelDiskSystem] = {}
+
+    def system(self, geometry: DiskGeometry) -> ParallelDiskSystem:
+        key = (geometry.N, geometry.B, geometry.D, geometry.M)
+        system = self.systems.get(key)
+        if system is None:
+            system = self.systems[key] = ParallelDiskSystem(geometry)
+        else:
+            system.reset()
+        return system
 
 
 class _Item:
@@ -234,12 +293,15 @@ class PermutationService:
         self.recorder = recorder
         self.coalesce = bool(coalesce)
 
-        self._local = threading.local()
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)   # queue gained an item
+        self._work = threading.Condition(self._lock)   # an item and a slot may be free
         self._space = threading.Condition(self._lock)  # queue freed a slot
         self._done = threading.Condition(self._lock)   # a request finished
         self._queue: deque[_Item] = deque()
+        # Free slots; the last one freed is taken first.
+        self._free = [
+            _Slot(f"perm-worker-{i}") for i in reversed(range(self.workers))
+        ]
         self._active: dict[int, CancellationToken] = {}
         self._leaders: dict[tuple, _Item] = {}
         self._closed = False
@@ -265,47 +327,50 @@ class PermutationService:
             t.start()
 
     # ------------------------------------------------------------ worker side
-    def _worker_system(self, geometry: DiskGeometry) -> ParallelDiskSystem:
-        systems = getattr(self._local, "systems", None)
-        if systems is None:
-            systems = self._local.systems = {}
-        key = (geometry.N, geometry.B, geometry.D, geometry.M)
-        system = systems.get(key)
-        if system is None:
-            system = systems[key] = ParallelDiskSystem(geometry)
-        else:
-            system.reset()
-        return system
-
     def _worker_loop(self) -> None:
         while True:
             with self._lock:
-                while not self._queue and not self._closed:
+                while not (self._queue and self._free):
+                    if self._closed and not self._queue:
+                        return  # closed and drained
                     self._work.wait()
-                if not self._queue:
-                    return  # closed and drained
                 if (
                     self._hard_deadline is not None
                     and time.monotonic() >= self._hard_deadline
                 ):
                     return  # hard-closed: close() flushes the queue
                 item = self._queue.popleft()
-                self._running += 1
-                self._active[item.index] = item.token
+                slot = self._start_locked(item)
                 self._space.notify()
-            item.trace.record("queue_wait", time.monotonic() - item.enqueued_at)
-            result = self._serve_item(item)
-            with self._lock:
-                self._running -= 1
-                self._active.pop(item.index, None)
-                if item.key is not None:
-                    self._leaders.pop(item.key, None)
-                self._record_locked(result)
-                settled = self._settle_followers_locked(item, result)
-                self._done.notify_all()
-            self._observe(result)
-            item.future.set_result(result)
-            self._resolve_followers(settled)
+            self._execute(item, slot)
+
+    def _start_locked(self, item: _Item) -> _Slot:
+        """Take a free slot for ``item``, which starts executing now."""
+        slot = self._free.pop()
+        self._running += 1
+        self._active[item.index] = item.token
+        return slot
+
+    def _execute(self, item: _Item, slot: _Slot) -> None:
+        """Run a started request, give its slot back and resolve it and
+        its followers.  Worker threads and ``run_here`` submitters
+        both finish a request here."""
+        item.trace.record("queue_wait", time.monotonic() - item.enqueued_at)
+        result = self._serve_item(item, slot)
+        with self._lock:
+            self._free.append(slot)
+            self._running -= 1
+            self._active.pop(item.index, None)
+            if item.key is not None:
+                self._leaders.pop(item.key, None)
+            self._record_locked(result)
+            settled = self._settle_followers_locked(item, result)
+            if self._queue:
+                self._work.notify()  # a worker may be waiting for this slot
+            self._done.notify_all()
+        self._observe(result)
+        item.future.set_result(result)
+        self._resolve_followers(settled)
 
     def _settle_followers_locked(
         self, item: _Item, result: ServiceResult
@@ -373,8 +438,8 @@ class PermutationService:
         elif isinstance(result.error, (RequestCancelled, ServiceClosedError)):
             self._cancelled += 1
 
-    def _serve_item(self, item: _Item) -> ServiceResult:
-        """Run one admitted request once.
+    def _serve_item(self, item: _Item, slot: _Slot) -> ServiceResult:
+        """Run one admitted request once, on ``slot``'s system.
 
         Never raises: failures are captured on the result.
         """
@@ -382,7 +447,7 @@ class PermutationService:
         result = ServiceResult(
             index=item.index,
             request=request,
-            worker=threading.current_thread().name,
+            worker=slot.name,
             attempts=0,
             request_id=item.trace.request_id,
             trace=item.trace,
@@ -392,7 +457,7 @@ class PermutationService:
             # Expired while queued: unwind before paying for a system fill.
             item.token.check()
             result.attempts = 1
-            system = self._worker_system(request.geometry or self.geometry)
+            system = slot.system(request.geometry or self.geometry)
             with run_scope(item.token, item.faults, item.trace):
                 result.report, result.digest = _execute_request(
                     system, request, self.cache
@@ -427,10 +492,16 @@ class PermutationService:
             deadline=request.deadline, timeout=request.timeout
         )
 
-    def submit(self, request: PermutationRequest) -> Future:
+    def submit(self, request: PermutationRequest, run_here: bool = False) -> Future:
         """Enqueue one request; the future resolves to a
         :class:`~repro.serve.requests.ServiceResult` (failures --
         including admission rejections -- are captured, never raised).
+
+        With ``run_here=True``, the calling thread executes the request
+        itself, and ``submit`` returns its resolved future, when the
+        queue is empty and a slot is free at admission; otherwise the
+        request queues as without it.  Either way it is admitted,
+        coalesced, timed out and counted the same.
 
         Only submitting to a closed service raises
         (:class:`~repro.errors.ServiceClosedError`): that is a caller
@@ -448,6 +519,7 @@ class PermutationService:
         rejected: ServiceResult | None = None
         follower: _Follower | None = None
         follower_remaining: float | None = None
+        slot: _Slot | None = None
         if self.recorder is not None:
             self.recorder.record(request)
         with self._lock:
@@ -521,8 +593,11 @@ class PermutationService:
                     )
                     if key is not None:
                         self._leaders[key] = item
-                    self._queue.append(item)
-                    self._work.notify()
+                    if run_here and not self._queue and self._free:
+                        slot = self._start_locked(item)
+                    else:
+                        self._queue.append(item)
+                        self._work.notify()
         # Every future resolves *outside* the lock: an inline done
         # callback may re-enter the service (stats(), submit(), the
         # HTTP frontend's tracking) and the lock is not reentrant.
@@ -548,6 +623,8 @@ class PermutationService:
             evicted.future.set_result(evicted_shed)
             self._observe(evicted_shed)
             self._resolve_followers(evicted_settled)
+        if slot is not None:
+            self._execute(item, slot)
         return future
 
     def _expire_follower(self, follower: _Follower) -> None:
@@ -634,6 +711,9 @@ class PermutationService:
         deadline is fixed in the same lock hold that closes the service,
         and no worker dequeues past it, so a worker that finishes while
         the queue is being flushed cannot start a queued request.
+        Executions on ``run_here`` submitters' threads are waited for
+        (and hard-cancelled) like the workers' own: the call returns
+        only once no request is executing.
         """
         with self._lock:
             self._closed = True
@@ -680,6 +760,9 @@ class PermutationService:
                 self._resolve_followers(settled)
         for t in self._threads:
             t.join()
+        with self._lock:
+            while self._running:
+                self._done.wait()
 
     def __enter__(self) -> "PermutationService":
         return self

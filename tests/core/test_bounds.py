@@ -88,6 +88,34 @@ class TestPredictedPasses:
             fact = factor_bmmc(a, geometry.b, geometry.m)
             assert bounds.predicted_passes(a, geometry) == fact.num_passes
 
+    @pytest.mark.parametrize(
+        "seed, lg_n, lg_b, lg_m",
+        [(1, 12, 2, 6), (0, 14, 3, 9), (1, 14, 3, 9)],
+    )
+    def test_inverse_mld_is_one_pass(self, seed, lg_n, lg_b, lg_m):
+        """Permuted Gray codes that are inverse-MLD but neither MRC nor
+        MLD: ``plan_bmmc_passes`` runs them in one pass, and the
+        prediction must say so (it used to predict two)."""
+        from repro.bits.colops import is_mld_form, is_mrc_form
+        from repro.core.inverse_mld import is_inverse_mld
+        from repro.core.runner import perform_permutation
+        from repro.pdm.system import ParallelDiskSystem
+        from repro.perms.library import permuted_gray_code
+
+        g = DiskGeometry(N=2**lg_n, B=2**lg_b, D=2**2, M=2**lg_m)
+        order = np.random.default_rng(seed).permutation(g.n)
+        perm = permuted_gray_code(g.n, list(order))
+        a = perm.matrix
+        assert is_inverse_mld(a, g.b, g.m)
+        assert not is_mrc_form(a, g.m) and not is_mld_form(a, g.b, g.m)
+        assert bounds.predicted_passes(a, g) == 1
+        system = ParallelDiskSystem(g)
+        system.fill_identity()
+        report = perform_permutation(system, perm, method="bmmc")
+        assert report.verified and report.passes == 1
+        assert report.io.parallel_ios == report.bounds["predicted_ios"]
+        assert report.io.parallel_ios == g.one_pass_ios
+
     def test_predicted_ios(self, geometry):
         from repro.bits.random import random_nonsingular
 

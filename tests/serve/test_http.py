@@ -825,6 +825,50 @@ class TestTransport:
         assert status == 200
         assert len(seen) == 1 and seen[0] != 0
 
+    def test_each_answer_is_one_write(self, geometry):
+        writes = []
+
+        class Counting:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self.inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        def counted(route):
+            def probe(handler):
+                handler.wfile = Counting(handler.wfile)
+                try:
+                    route(handler)
+                finally:
+                    handler.wfile = handler.wfile.inner
+            return probe
+
+        routes = {
+            path: {verb: counted(route) for verb, route in verbs.items()}
+            for path, verbs in HttpFrontend.ROUTES.items()
+        }
+        with make_frontend(geometry, workers=1) as fe:
+            fe.ROUTES = routes
+            conn = http.client.HTTPConnection(fe.host, fe.port, timeout=10)
+            try:
+                answers = [
+                    _exchange(conn, "POST", "/permutations", dict(TRANSPOSE)),
+                    _exchange(conn, "GET", "/metrics"),
+                    _exchange(conn, "GET", "/stats"),
+                ]
+            finally:
+                conn.close()
+        assert [status for status, _ in answers] == [200, 200, 200]
+        assert len(writes) == 3
+        for (_, body), written in zip(answers, writes):
+            assert written.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert written.endswith(b"\r\n\r\n" + body)
+
     def test_one_connection_serves_posts_and_scrapes(self, geometry):
         perms = ["gray", "bit-reversal", "transpose", "shuffle"]
         with make_frontend(geometry, workers=2) as fe:
@@ -876,8 +920,8 @@ class TestResultBacklog:
             futures = []
             submit = fe.service.submit
 
-            def capture(request):
-                futures.append(submit(request))
+            def capture(request, **kwargs):
+                futures.append(submit(request, **kwargs))
                 return futures[-1]
 
             monkeypatch.setattr(fe.service, "submit", capture)
@@ -907,8 +951,8 @@ class TestResultBacklog:
         with make_frontend(geometry, workers=1) as fe:
             submit = fe.service.submit
 
-            def capture(request):
-                future = submit(request)
+            def capture(request, **kwargs):
+                future = submit(request, **kwargs)
                 refs.append(weakref.ref(future))
                 future.add_done_callback(
                     lambda f: refs.append(weakref.ref(f.result()))
