@@ -18,10 +18,11 @@ Routes
     service-assigned ``request_id`` for polling.  A ``sync`` call whose
     ``wait_timeout`` elapses degrades to the async answer -- the work
     is not cancelled, the client just polls for it.  A ``sync`` call
-    without a ``wait_timeout`` runs on the handler thread that read it
-    when the service's queue is empty and one of its ``workers`` slots
-    is free (``submit(run_here=True)``), so it pays no handoff to a
-    worker thread and back; otherwise it queues like any request.
+    with neither a ``wait_timeout`` nor an idempotency key runs on the
+    handler thread that read it when the service's queue is empty and
+    one of its ``workers`` slots is free (``submit(run_here=True)``), so
+    it pays no handoff to a worker thread and back; otherwise it queues
+    like any request.
 
     An ``idempotency_key`` (body field, or the ``Idempotency-Key``
     header; both present must agree) makes the POST safely retryable:
@@ -242,8 +243,11 @@ def _read_fields(rfile) -> _Fields:
     As in ``email.feedparser``: a value loses its leading blanks and
     its line end; a line that starts with a blank continues the field
     before it; an mbox ``From `` line and a field with no name are
-    skipped; and any other line that is not a field ends the fields
-    (the rest is read and dropped).
+    skipped, and so are the continuation lines after them; and any
+    other line that is not a field ends the fields (the rest is read
+    and dropped).  Unlike ``email.feedparser``, a bare CR does not end
+    a line: it stays in the value, which a conforming client never
+    sends, and which a number such as ``Content-Length`` then refuses.
     """
     lines = []
     while True:
@@ -261,19 +265,22 @@ def _read_fields(rfile) -> _Fields:
         if line in (b"\r\n", b"\n", b""):
             break
     pairs: list[list[str]] = []
+    field = None  # the field a continuation line extends
     for line in lines[:-1]:
         text = line.decode("iso-8859-1")
         if text[0] in " \t":
-            if pairs:
-                pairs[-1][1] += text
+            if field is not None:
+                field[1] += text
             continue
+        field = None
         if text.startswith("From "):
             continue
         name, colon, value = text.partition(":")
         if not (colon and name.isascii() and name.isprintable()) or " " in name:
             break
         if name:
-            pairs.append([name.lower(), value.lstrip(" \t")])
+            field = [name.lower(), value.lstrip(" \t")]
+            pairs.append(field)
     fields = _Fields()
     for name, value in pairs:
         fields.setdefault(name, value.rstrip("\r\n"))
@@ -609,15 +616,14 @@ class _Handler(BaseHTTPRequestHandler):
         wait_timeout = self._coerce_wait_timeout(wait_timeout)
         idem_key = self._coerce_idempotency_key(body_key, header_key)
         request = request_from_dict(spec)
-        # A sync request that may not degrade to polling runs on this
-        # thread when a slot is free: no handoff to a worker and back.
-        run_here = mode == "sync" and wait_timeout is None
         if idem_key is not None:
-            request_id, entry = fe.submit_idempotent(
-                idem_key, request, run_here=run_here
-            )
+            request_id, entry = fe.submit_idempotent(idem_key, request)
         else:
-            # may raise ServiceClosedError
+            # A sync request that may not degrade to polling runs on
+            # this thread when a slot is free: no handoff to a worker
+            # and back.  (A keyed one queues: its repeats must find its
+            # request_id while it runs.)  May raise ServiceClosedError.
+            run_here = mode == "sync" and wait_timeout is None
             entry = fe.service.submit(request, run_here=run_here)
             request_id = entry.request_id
             fe.track(request_id, entry)
@@ -856,13 +862,9 @@ class HttpFrontend:
                     break
         future.add_done_callback(partial(self.answer, request_id))
 
-    def submit_idempotent(
-        self, key: str, request, run_here: bool = False
-    ) -> tuple[str, object]:
+    def submit_idempotent(self, key: str, request) -> tuple[str, object]:
         """Submit under an idempotency key: first caller executes,
-        repeats map to the same ``request_id``.  ``run_here`` passes to
-        :meth:`PermutationService.submit`; a repeat waits until the
-        first submit returns, so behind a ``run_here`` execution.
+        repeats map to the same ``request_id``.
 
         Returns ``(request_id, entry)``, where ``entry`` is the request's
         backlog entry: its future while pending, its stored answer once
@@ -903,7 +905,7 @@ class HttpFrontend:
                 # The key aged out with its answer while this repeat
                 # waited: the repeat is a fresh submission now.
         try:
-            future = self.service.submit(request, run_here=run_here)
+            future = self.service.submit(request)
         except BaseException as exc:
             with self._lock:
                 entry.error = exc

@@ -15,10 +15,11 @@ geometry (reset before every execution, so record state, stats, traces
 and memory accounting are strictly per-request).  A worker thread takes
 a slot when it dequeues, and waits while none is free.  A caller that
 passes ``submit(request, run_here=True)`` -- the HTTP frontend's sync
-``POST`` does -- executes its own request on its own thread when the
-queue is empty and a slot is free, and pays no handoff to a worker and
-back; otherwise the request queues as any other.  A queued request is
-never overtaken: nothing runs ahead of a non-empty queue.
+``POST`` without a key does -- executes its own request on its own
+thread when the queue is empty and a slot is free, and pays no handoff
+to a worker and back; otherwise the request queues as any other.  A
+queued request is never overtaken: nothing runs ahead of a non-empty
+queue.
 
 On top of the PR-4 execution core this adds the robustness layer:
 
@@ -332,7 +333,11 @@ class PermutationService:
             with self._lock:
                 while not (self._queue and self._free):
                     if self._closed and not self._queue:
-                        return  # closed and drained
+                        # Closed and drained.  A worker that waited for
+                        # a slot while the last item went to another
+                        # gets no other wakeup, so wake them all.
+                        self._work.notify_all()
+                        return
                     self._work.wait()
                 if (
                     self._hard_deadline is not None

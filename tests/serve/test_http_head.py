@@ -351,6 +351,8 @@ HEADS = [
     b"POST /p HTTP/1.1\r\n\xe9t\xe9: 1\r\nContent-Length: 5\r\n\r\n",
     b"POST /p HTTP/1.1\r\n: empty name\r\nContent-Length: 5\r\n\r\n",
     b"POST /p HTTP/1.1\r\nFrom someone\r\nContent-Length: 5\r\n\r\n",
+    b"POST /p HTTP/1.1\r\nContent-Length: 5\r\n: x\r\n 9\r\n\r\n",
+    b"POST /p HTTP/1.1\r\nContent-Length: 5\r\nFrom x\r\n 9\r\n\r\n",
     b"POST /p HTTP/1.1\r\nContent-Length:\t  7  \r\nHost:x\r\n\r\n",
     b"POST /p HTTP/1.1\r\nIdempotency-Key: caf\xe9\r\n\r\n",
     b"POST /p HTTP/1.1\nContent-Length: 3\nConnection: close\n\n",
@@ -414,3 +416,12 @@ class TestAgainstTheStdlib:
         ours = _parsed(_Handler.parse_request, head)
         stdlib = _parsed(BaseHTTPRequestHandler.parse_request, head)
         assert ours == stdlib
+
+    def test_a_bare_cr_stays_in_the_value(self):
+        # email.feedparser ends a line at a bare CR; this reader keeps
+        # it in the value, where the number it spoils is refused.
+        head = b"POST /p HTTP/1.1\r\nContent-Length: 5\rX-0: 1\r\n\r\n"
+        ours = _parsed(_Handler.parse_request, head)
+        stdlib = _parsed(BaseHTTPRequestHandler.parse_request, head)
+        assert stdlib["fields"][:1] == ["5"]
+        assert ours["fields"][:1] == ["5\rX-0: 1"]

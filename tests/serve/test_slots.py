@@ -46,11 +46,13 @@ SLOT_NAMES = {"perm-worker-0", "perm-worker-1"}
 
 
 class _Hold:
-    """Patches ``_execute_request`` to wait for :attr:`gate`, recording
+    """Patches ``_execute_request`` to wait for :attr:`gate` (or for the
+    request's own gate in :attr:`gates`, keyed by ``perm``), recording
     which threads executed, in what order, and the peak concurrency."""
 
     def __init__(self, monkeypatch) -> None:
         self.gate = threading.Event()
+        self.gates: dict[str, threading.Event] = {}
         self.lock = threading.Lock()
         self.inflight = 0
         self.peak = 0
@@ -62,8 +64,9 @@ class _Hold:
                 self.inflight += 1
                 self.peak = max(self.peak, self.inflight)
                 self.started.append((request.perm, threading.current_thread()))
+            gate = self.gates.get(request.perm, self.gate)
             try:
-                while not self.gate.wait(0.005):
+                while not gate.wait(0.005):
                     checkpoint("pass")
                 return real(system, request, cache)
             finally:
@@ -220,6 +223,48 @@ class TestSlots:
         assert stats.running == 0 and stats.completed == 1
         assert stats.check() == []
 
+    def test_graceful_close_wakes_a_worker_left_waiting_for_a_slot(
+        self, monkeypatch
+    ):
+        # Both slots run submitters' requests and a third queues, so
+        # both workers wait for a slot.  The first slot freed goes to
+        # one worker with the queued request; the second is freed with
+        # the queue empty, and the other worker must still be woken to
+        # see the service closed and drained.
+        hold = _Hold(monkeypatch)
+        hold.gates = {
+            perm: threading.Event() for perm in ("transpose", "gray", "shuffle")
+        }
+        service = PermutationService(GEOMETRY, workers=2)
+        runners = [
+            _run_here(service, PermutationRequest(perm=perm))
+            for perm in ("transpose", "gray")
+        ]
+        _await(lambda: hold.inflight == 2)
+        queued = service.submit(PermutationRequest(perm="shuffle"))
+        closer = threading.Thread(target=service.close, daemon=True)
+        closer.start()
+        try:
+            _await(lambda: service.stats().closed)
+            hold.gates["transpose"].set()
+            _await(lambda: len(hold.started) == 3)
+            assert hold.started[2][1].name.startswith("perm-worker-")
+            hold.gates["gray"].set()
+            for runner, _ in runners:
+                runner.join(timeout=10)
+            hold.gates["shuffle"].set()
+            closer.join(timeout=10)
+            assert not closer.is_alive(), "close() hung on a worker never woken"
+        finally:
+            for gate in hold.gates.values():
+                gate.set()
+        results = [out["future"].result(timeout=0) for _, out in runners]
+        results.append(queued.result(timeout=0))
+        assert all(r.ok and r.worker in SLOT_NAMES for r in results)
+        stats = service.stats()
+        assert (stats.completed, stats.running, stats.queue_depth) == (3, 0, 0)
+        assert stats.check() == []
+
     def test_hard_close_cancels_a_submitters_execution(self, monkeypatch):
         hold = _Hold(monkeypatch)
         service = PermutationService(GEOMETRY, workers=1)
@@ -236,6 +281,32 @@ class TestSlots:
         assert queued.result(timeout=0).worker == "close"
         assert (stats.completed, stats.failed, stats.cancelled) == (2, 2, 2)
         assert stats.check() == []
+
+    def test_an_async_repeat_answers_at_once_while_its_key_runs(
+        self, monkeypatch
+    ):
+        # A keyed sync POST queues, even with a slot free: a repeat must
+        # find its request_id while it runs, not after.
+        hold = _Hold(monkeypatch)
+        service = PermutationService(GEOMETRY, workers=2)
+        keyed = {"request": {"perm": "transpose"}, "idempotency_key": "k"}
+        with HttpFrontend(service, metrics=ServiceMetrics(), own_service=True) as fe:
+            with ThreadPoolExecutor(2) as pool:
+                try:
+                    first = pool.submit(_post, fe, keyed)
+                    _await(lambda: hold.inflight == 1)
+                    repeat = pool.submit(_post, fe, {**keyed, "mode": "async"})
+                    status, body = repeat.result(timeout=5)
+                    assert hold.inflight == 1, "the repeat waited for the run"
+                finally:
+                    hold.gate.set()
+                first_status, first_body = first.result(timeout=30)
+        assert status == 202 and body["status"] == "pending"
+        assert first_status == 200
+        assert body["request_id"] == first_body["request_id"]
+        (_, thread), = hold.started
+        assert thread.name.startswith("perm-worker-")
+        assert service.stats().completed == 1
 
     def test_a_duplicate_coalesces_onto_a_submitters_execution(self, monkeypatch):
         hold = _Hold(monkeypatch)
