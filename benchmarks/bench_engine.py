@@ -77,9 +77,11 @@ STREAM_TRACED_BYTES_PER_RECORD = 40
 #: on top of the streamed bound, in bytes.  A fused pass keeps block ids
 #: (N/B entries per direction, already in the plan's columns) and shares
 #: the plan's write-source column, so fusing allocates only per-step and
-#: per-block arrays (8/B bytes per record each, 0.5 at B=16).  A pass
-#: that keeps any N-entry int64 array of its own (8 per record) breaks it.
-FUSED_BYTES_PER_RECORD = 2
+#: per-block arrays (8/B bytes per record each, 0.5 at B=16), and the
+#: audit's temporaries are bool masks and one N/B-entry key array at a
+#: time.  A pass that keeps any N-entry int64 array of its own (8 per
+#: record) breaks it.
+FUSED_BYTES_PER_RECORD = 1
 
 #: Warm cache-hit service must beat cold by at least this factor.
 CACHE_SPEEDUP_FLOOR = float(os.environ.get("BENCH_CACHE_SPEEDUP_FLOOR", "3.0"))

@@ -10,13 +10,25 @@ plans over and over, and the planners -- per-memoryload argsorts and
 class-property proofs -- dominate the cost of a fast execution.
 
 :class:`PlanCache` is a thread-safe LRU map from a :func:`plan_key` to
-a :class:`CompiledPlan`: the plan with its fused per-pass arrays
-already built, the model-rule audit already passed, and (lazily, on
-first fast-engine use) the :class:`~repro.pdm.optimize.OptimizedPlan`
-the fast engine runs.  A cache hit goes straight to gather/scatter --
-no planning, no fusing, no structural validation; only the
-data-dependent simple-I/O checks and the memory simulation (both
-O(plan) numpy work) remain.
+a :class:`CompiledPlan`.  A fresh entry holds the plan with its fused
+per-pass arrays already built and the model-rule audit already passed;
+its first fast-engine execution adds the
+:class:`~repro.pdm.optimize.OptimizedPlan` the fast engine runs, and
+each unit's N-entry pull index on the unit's first gather.
+
+Once a fast execution leaves every group of that optimized plan a
+whole-portion unit with its pull composed, the entry swaps in the
+plan's slim form (:meth:`~repro.pdm.optimize.OptimizedPlan.slim`) and
+drops the rest: the plan, its write sources, and the per-step and
+per-block arrays.  What stays is what a warm fast execution reads --
+each unit's pull, and each pass's label, I/O counters and memory
+effect.  A warm hit then runs the pass checkpoints, the memory
+simulation, the row-wide simple-I/O checks and one gather per unit; it
+never plans.  Every other execution of a slim entry -- the strict
+engine, an attached observer, a stream budget below N -- re-plans with
+its own caller's ``build`` and runs the plan uncached.  An entry whose
+pulls are never composed (N above the auto-streaming threshold, or a
+group that is not a whole-portion unit) keeps everything.
 
 :func:`cached_execute` is the one place a planner wrapper's plan runs,
 with or without a cache, and the one place that times the plan,
@@ -28,7 +40,8 @@ characteristic matrix (hashable :class:`~repro.bits.matrix.BitMatrix`),
 complement, portions, and any algorithm knobs.  Two systems with the
 same geometry share compiled plans safely because plans are immutable
 and executions never write to them (fused metadata is cached on the
-plan, keyed by step count).
+plan, keyed by step count); the slim swap replaces the entry's
+references and changes nothing an execution may still hold.
 """
 
 from __future__ import annotations
@@ -93,6 +106,11 @@ class CompiledPlan:
     """A pre-fused, pre-validated plan, and its optimized form once a
     fast-engine execution has asked for it.
 
+    After a fast execution has composed every unit's pull,
+    :meth:`keep_pulls_only` swaps the slim optimized form in and sets
+    ``plan`` to ``None``; a slim entry serves warm fast executions only
+    (see the module docs).
+
     ``meta`` carries algorithm-level results that are pure functions of
     the key (e.g. the BMMC factor schedule and final portion) so cache
     hits can reconstruct their run reports without re-planning.
@@ -141,9 +159,30 @@ class CompiledPlan:
                     )
         return self.optimized
 
+    def keep_pulls_only(self, optimized) -> None:
+        """Swap in ``optimized``'s slim form and drop the plan, once, if
+        ``optimized`` is still this entry's form and every one of its
+        groups is a whole-portion unit with its pull composed.
+
+        The swap only replaces this entry's two references, under the
+        entry's lock: an execution holding the plan or the full
+        optimized form finishes on it.
+        """
+        if optimized.plan is None:
+            return
+        with self._opt_lock:
+            if self.optimized is optimized:
+                slim = optimized.slim()
+                if slim is not None:
+                    self.optimized, self.plan = slim, None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        shape = "optimized" if self.optimized is not None else "plain"
-        return f"CompiledPlan({shape}, passes={self.plan.num_passes})"
+        optimized = self.optimized
+        if optimized is None:
+            shape = "plain"
+        else:
+            shape = "optimized" if optimized.plan is not None else "slim"
+        return f"CompiledPlan({shape}, passes={self.check.passes})"
 
 
 def compile_plan(
@@ -317,6 +356,14 @@ def cached_execute(
     memoized; the strict engine replays the plan itself.  The engine is
     not part of the key, so one entry serves both engines.
 
+    A fast execution that leaves every unit's pull composed makes the
+    entry slim (:meth:`CompiledPlan.keep_pulls_only`).  A slim entry
+    runs a warm fast execution on its pulls; an execution it cannot run
+    (:meth:`~repro.pdm.optimize.OptimizedPlan.needs_plan`) is still a
+    hit, and re-plans with this call's ``build`` exactly as the
+    ``cache=None`` branch does, ``plan`` stage included.  Each call
+    reads the entry's plan, or its optimized form, once.
+
     When the calling thread carries an ambient timing trace
     (:func:`~repro.pdm.cancel.current_trace` -- the service installs
     one per request), the plan/compile/execute stage costs are recorded
@@ -333,13 +380,16 @@ def cached_execute(
             if trace is not None:
                 trace.record(stage, time.perf_counter() - started)
 
-    if cache is None:
+    def uncached() -> tuple[object, ExecReport]:
         plan, meta = timed("plan", build)
         report = timed(
             "execute", execute_plan, system, plan, engine=engine,
             stream_records=stream_records,
         )
-        return meta, report, False
+        return meta, report
+
+    if cache is None:
+        return (*uncached(), False)
 
     def _compile() -> CompiledPlan:
         checkpoint("planner", str(key[0]) if key else "")
@@ -350,11 +400,29 @@ def cached_execute(
             meta=meta,
         )
 
-    def _execute() -> ExecReport:
-        target = compiled.ensure_optimized() if engine == "fast" else compiled.plan
-        return execute_plan(
-            system, target, engine=engine, stream_records=stream_records
+    def _execute() -> ExecReport | None:
+        """This call's execution of the entry, or ``None`` when the entry
+        is slim and this call needs a plan."""
+        if engine != "fast":
+            plan = compiled.plan
+            if plan is None:
+                return None
+            return execute_plan(
+                system, plan, engine=engine, stream_records=stream_records
+            )
+        optimized = compiled.ensure_optimized()
+        if optimized.plan is None and optimized.needs_plan(
+            system, stream_records=stream_records
+        ):
+            return None
+        report = execute_plan(
+            system, optimized, engine=engine, stream_records=stream_records
         )
+        compiled.keep_pulls_only(optimized)
+        return report
 
     compiled, hit = cache.get_or_compile(key, _compile)
-    return compiled.meta, timed("execute", _execute), hit
+    report = timed("execute", _execute)
+    if report is None:
+        return (*uncached(), hit)
+    return compiled.meta, report, hit

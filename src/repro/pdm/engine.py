@@ -45,12 +45,14 @@ live set is ~M and arbitrarily large N executes in bounded host memory.
 Every ``execute_plan`` call returns an :class:`ExecReport` recording
 the observed host peak.
 
-The fused metadata each pass keeps for its plan's life holds block ids,
+The fused metadata a pass keeps while its plan lives holds block ids,
 not record addresses: records move only as whole blocks, so a segment
 gathers, checks and scatters ``(N/B, B)`` block rows.  Its one
 ``N``-entry array is the plan's own write-source column (8 bytes per
 record per pass), so even a fresh plan's first execution allocates
-O(live slots) plus O(N/B).
+O(live slots) plus O(N/B); the audit's temporaries are bool masks and
+one ``N/B``-entry key array at a time.  A cached plan drops all of it
+once every unit's pull is composed (:mod:`repro.pdm.cache`).
 """
 
 from __future__ import annotations
@@ -296,6 +298,22 @@ def _simulate_memory(B: int, f: _FusedPass) -> None:
     f.mem_net = int(prefix[-1])
 
 
+def _touched(keys: np.ndarray, span: int) -> tuple[np.ndarray, bool]:
+    """The ``span``-entry bool mask of ``keys`` (each in ``[0, span)``),
+    and whether a key occurs twice: fewer distinct keys than keys."""
+    mask = np.zeros(span, dtype=bool)
+    mask[keys] = True
+    return mask, int(np.count_nonzero(mask)) != keys.size
+
+
+def _block_keys(per_step: np.ndarray, sizes: np.ndarray, per_block: np.ndarray):
+    """One key per block: its step's ``per_step`` value plus its own
+    ``per_block`` value, built in one ``N/B``-entry array."""
+    keys = np.repeat(per_step, sizes)
+    keys += per_block
+    return keys
+
+
 def _check_structure(g: DiskGeometry, num_portions: int, f: _FusedPass) -> None:
     """Per-step model rules, vectorized over one pass."""
     sizes = f.step_sizes
@@ -320,12 +338,16 @@ def _check_structure(g: DiskGeometry, num_portions: int, f: _FusedPass) -> None:
             portions.min() < 0 or portions.max() >= num_portions
         ):
             raise ValidationError(f"pass {f.label!r}: portion out of range")
-        step_of = np.repeat(np.arange(step_sizes.size, dtype=np.int64), step_sizes)
-        keys = step_of * g.D + (ids & (g.D - 1))
-        if np.bincount(keys).max() > 1:
+        # (step, disk) keys: each step's first key, plus each block's disk
+        span = step_sizes.size * g.D
+        keys = _block_keys(
+            np.arange(0, span, g.D, dtype=np.int64), step_sizes, ids & (g.D - 1)
+        )
+        if _touched(keys, span)[1]:
             raise DiskConflictError(
                 f"pass {f.label!r}: at most one block per disk per parallel I/O"
             )
+        del keys  # before the other direction's keys are built
     if (f.write_source_max >= f.reads_before).any():
         raise PlanError(
             f"pass {f.label!r}: a write step sources stream slots that are "
@@ -348,33 +370,32 @@ def _check_fusable(
     """Reject order-dependent block touches that fusion would reorder.
 
     Runs after :func:`_check_structure`, so every (portion, block) key
-    lies in ``[0, num_portions * num_blocks)`` and touch counts are one
-    ``bincount`` each.
+    lies in ``[0, num_portions * num_blocks)``.  Each direction's touches
+    become a bool mask over those keys before the other direction's keys
+    are built; a read count is taken only when some block is read twice.
     """
     span = num_portions * g.num_blocks
     written = read = None
     if f.write_ids.size:
-        written = np.bincount(
-            np.repeat(f.write_portions, f.write_sizes) * g.num_blocks + f.write_ids,
-            minlength=span,
-        )
-        if written.max() > 1:
+        keys = _block_keys(f.write_portions * g.num_blocks, f.write_sizes, f.write_ids)
+        written, repeated = _touched(keys, span)
+        del keys
+        if repeated:
             raise PlanError(
                 f"pass {f.label!r} writes a block twice; fused execution would "
                 "reorder the writes -- use the strict engine"
             )
     if f.read_ids.size:
-        rkeys = np.repeat(f.read_portions, f.read_sizes) * g.num_blocks + f.read_ids
-        read = np.bincount(rkeys, minlength=span)
-        if read.max() > 1:
-            block_consume = np.repeat(
-                f.resolved_consume(simple_io), f.read_sizes
-            )
-            if (read[rkeys[block_consume]] > 1).any():
+        keys = _block_keys(f.read_portions * g.num_blocks, f.read_sizes, f.read_ids)
+        read, repeated = _touched(keys, span)
+        if repeated:
+            block_consume = np.repeat(f.resolved_consume(simple_io), f.read_sizes)
+            if (np.bincount(keys, minlength=span)[keys[block_consume]] > 1).any():
                 raise PlanError(
                     f"pass {f.label!r} re-reads a consumed block; fused "
                     "execution cannot preserve the order -- use the strict engine"
                 )
+        del keys
     if written is not None and read is not None and (
         np.logical_and(written, read).any()
     ):

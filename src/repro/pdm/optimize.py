@@ -52,6 +52,7 @@ from repro.pdm.cancel import checkpoint
 from repro.pdm.engine import (
     ENGINES,
     ExecReport,
+    _FusedPass,
     _check_memory,
     _check_pass,
     _execute_fast,
@@ -91,8 +92,10 @@ class _Group:
     ``data[p_out] = data[p_in][pull]``.  Its N-entry ``pull`` index is
     composed on the unit's first gather (:func:`_unit_pull`) and kept,
     so an execution that streams the unit's members instead never holds
-    it.  Any other group runs its members pass by pass through the fast
-    engine.
+    it.  Once every unit of a plan has its pull, :meth:`OptimizedPlan.slim`
+    can copy the plan keeping only the pulls and each member's counters;
+    a cached plan swaps that copy in (:mod:`repro.pdm.cache`).  Any other
+    group runs its members pass by pass through the fast engine.
     """
 
     __slots__ = ("members", "pull", "p_in", "p_out", "targets", "lock")
@@ -144,6 +147,25 @@ def _check_pull(grp: _Group, pull: np.ndarray, N: int) -> None:
             f"unit ending at {grp.members[-1].label!r}: pull index does not "
             "map the input portion onto the output portion"
         )
+
+
+#: What a warm unit gather reads of a member pass: its checkpoint label,
+#: the counters :func:`~repro.pdm.engine._finish_pass` records and the
+#: memory effect :func:`~repro.pdm.engine._check_memory` runs.
+_SLIM_PASS_FIELDS = (
+    "label", "num_steps", "io_counts", "mem_high", "mem_low", "mem_peak", "mem_net",
+)
+
+
+def _slim_pass(f: _FusedPass, checked_for: tuple) -> _FusedPass:
+    """A new record holding only ``f``'s :data:`_SLIM_PASS_FIELDS`, and
+    the system shape ``checked_for`` that :func:`_check_pass` audited
+    ``f`` against (so it never re-audits the record)."""
+    slim = _FusedPass()
+    for name in _SLIM_PASS_FIELDS:
+        setattr(slim, name, getattr(f, name))
+    slim.checked_for = checked_for
+    return slim
 
 
 def _whole_portion_unit(members, rows) -> _Group:
@@ -239,7 +261,7 @@ def optimize_plan(
         fused_groups=sum(1 for grp in groups if len(grp.members) > 1),
         fused_links=links,
     )
-    return OptimizedPlan(plan, fused, groups, report, num_portions, simple_io)
+    return OptimizedPlan(g, plan, fused, groups, report, num_portions, simple_io)
 
 
 class OptimizedPlan:
@@ -251,13 +273,23 @@ class OptimizedPlan:
     simple-I/O discipline differs from what it was compiled for), and
     the optimized path reports the *original* plan's per-pass stats and
     memory envelope.
+
+    A *slim* plan (:meth:`slim`; ``plan`` is ``None``) keeps only each
+    unit's pull and each member's counters.  It runs the optimized path
+    with every check that path makes, and refuses with
+    :class:`PlanError` any execution that needs the plan itself
+    (:meth:`needs_plan`).
     """
 
     __slots__ = (
-        "plan", "_fused", "groups", "report", "num_portions", "simple_io",
+        "geometry", "plan", "_fused", "groups", "report", "num_portions",
+        "simple_io",
     )
 
-    def __init__(self, plan, fused, groups, report, num_portions, simple_io):
+    def __init__(
+        self, geometry, plan, fused, groups, report, num_portions, simple_io
+    ):
+        self.geometry = geometry
         self.plan = plan
         self._fused = fused
         self.groups = groups
@@ -265,9 +297,66 @@ class OptimizedPlan:
         self.num_portions = num_portions
         self.simple_io = simple_io
 
-    @property
-    def geometry(self):
-        return self.plan.geometry
+    def slim(self) -> "OptimizedPlan | None":
+        """A copy that keeps only what a warm gather reads, or ``None``
+        while some group is not a whole-portion unit with its pull
+        composed.
+
+        The copy is built of new records: each unit's ``pull``,
+        ``p_in``, ``p_out`` and ``targets``, and each member's
+        :data:`_SLIM_PASS_FIELDS` and audited shape.  Nothing of this
+        plan is changed, so an execution already running on it finishes
+        on it.
+        """
+        if any(grp.pull is None for grp in self.groups):
+            return None
+        # optimize_plan audited every pass against this shape.
+        shape = (self.num_portions, self.simple_io)
+        fused = [_slim_pass(f, shape) for f in self._fused]
+        groups = []
+        start = 0
+        for grp in self.groups:
+            members = fused[start : start + len(grp.members)]
+            start += len(members)
+            unit = _Group(
+                members, p_in=grp.p_in, p_out=grp.p_out, targets=grp.targets
+            )
+            unit.pull = grp.pull
+            groups.append(unit)
+        return OptimizedPlan(
+            self.geometry, None, fused, groups, self.report,
+            self.num_portions, self.simple_io,
+        )
+
+    def needs_plan(
+        self,
+        system: ParallelDiskSystem,
+        engine: str = "fast",
+        stream_records=None,
+        capture: bool = False,
+    ) -> str | None:
+        """Why this execution would read more than each unit's pull, or
+        ``None`` when a slim plan can run it.
+
+        Strict replay, an attached observer and a capture replay the
+        plan; a system of another shape runs it pass by pass; a stream
+        budget below N streams each unit's members.
+        """
+        if engine == "strict":
+            return "the strict engine"
+        if system._observers:
+            return "an execution with an observer attached"
+        if capture:
+            return "a capturing execution"
+        if (
+            system.num_portions != self.num_portions
+            or system.simple_io != self.simple_io
+        ):
+            return "a system of another shape"
+        budget = _stream_budget(stream_records)
+        if budget is not None and self.geometry.N > budget:
+            return f"a stream budget of {budget} < N={self.geometry.N} records"
+        return None
 
     # ------------------------------------------------------------ certificate
     def verify(self) -> dict:
@@ -280,6 +369,11 @@ class OptimizedPlan:
         itself, and the pass list the optimized executor will report
         equals the original plan's.
         """
+        if self.plan is None:
+            raise PlanError(
+                "a slim optimized plan keeps no block ids to verify; verify "
+                "it before its plan is dropped"
+            )
         g = self.geometry
         total_passes = 0
         for grp in self.groups:
@@ -311,8 +405,16 @@ class OptimizedPlan:
     ) -> ExecReport:
         if engine not in ENGINES:
             raise ValidationError(f"unknown engine {engine!r}; choose from {ENGINES}")
-        if self.plan.geometry != system.geometry:
+        if self.geometry != system.geometry:
             raise ValidationError("plan and system geometries differ")
+        if self.plan is None:
+            why = self.needs_plan(system, engine, stream_records, capture)
+            if why is not None:
+                raise PlanError(
+                    f"a slim optimized plan keeps only its units' pulls and "
+                    f"cannot run {why}; re-plan to run it"
+                )
+            return self._execute_optimized(system, stream_records)
         if engine == "strict" or system._observers:
             report = _execute_strict(
                 system, self.plan, capture=capture, stream_records=stream_records

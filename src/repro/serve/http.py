@@ -62,7 +62,11 @@ statuses, with the header fields read by a small reader
 (``_read_fields``) instead of ``email.feedparser``.  Each answer's
 status line, ``Server``, ``Date``, ``Content-Type`` and
 ``Content-Length`` fields and body go out in one write (error pages
-from ``send_error`` keep the stdlib's two).  ``TCP_NODELAY`` stays:
+from ``send_error`` keep the stdlib's two).  A request line refused
+before its version is read -- a bad version, HTTP/2 or later, one
+word, an HTTP/0.9 request other than GET -- gets an HTTP/1.1 status
+line and the stdlib's error page, then a close; the stdlib sends these
+the page alone, as HTTP/0.9.  ``TCP_NODELAY`` stays:
 with Nagle's algorithm on, a send that follows another unacknowledged
 one waits for the client's delayed ACK (about 40 ms), and one write
 alone did not stop a 14.6 KB ``/metrics`` scrape from waiting.  Every
@@ -319,7 +323,10 @@ class _Handler(BaseHTTPRequestHandler):
         The stdlib's checks, statuses and connection handling, with the
         fields read by :func:`_read_fields` instead of
         ``email.feedparser``.  Returns False when the request is not to
-        be served; an error, if there is one, is answered first.
+        be served; an error, if there is one, is answered first.  A
+        request refused before its version is read is answered with an
+        HTTP/1.1 status line (:meth:`_refuse`), where the stdlib sends
+        the error page alone.
         """
         self.command = None
         self.request_version = self.default_request_version
@@ -333,24 +340,20 @@ class _Handler(BaseHTTPRequestHandler):
             version = words[-1]
             number = _version_number(version)
             if number is None:
-                self.send_error(400, f"Bad request version ({version!r})")
-                return False
+                return self._refuse(400, f"Bad request version ({version!r})")
             if number >= (2, 0):
-                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
-                return False
+                return self._refuse(505, f"Invalid HTTP version ({version[5:]})")
             self.close_connection = number < (1, 1)
             self.request_version = version
         if not 2 <= len(words) <= 3:
-            self.send_error(400, f"Bad request syntax ({requestline!r})")
-            return False
+            return self._refuse(400, f"Bad request syntax ({requestline!r})")
         command, path = words[:2]
         if len(words) == 2:
             self.close_connection = True
             if command != "GET":
-                self.send_error(
+                return self._refuse(
                     400, f"Bad HTTP/0.9 request type ({command!r})"
                 )
-                return False
         self.command = command
         # As the stdlib does: '//host/x' must not read as a network path.
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
@@ -370,6 +373,17 @@ class _Handler(BaseHTTPRequestHandler):
         ):
             return self.handle_expect_100()
         return True
+
+    def _refuse(self, code: int, message: str) -> bool:
+        """Answer a refused request line with the stdlib's error page,
+        fields and ``Connection: close`` under an HTTP/1.1 status line,
+        then close.  ``send_error`` writes no status line or field while
+        ``request_version`` is still the default ``HTTP/0.9``, so the
+        version is set to the one this server answers in first."""
+        self.request_version = self.protocol_version
+        self.close_connection = True
+        self.send_error(code, message)
+        return False
 
     @property
     def frontend(self) -> "HttpFrontend":

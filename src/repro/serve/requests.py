@@ -20,7 +20,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -135,17 +137,56 @@ def _named_bmmc(
     raise ValidationError(f"unknown permutation {name!r}")
 
 
-@functools.lru_cache(maxsize=PERMUTATION_MEMO_SIZE)
-def _verified_digest(
-    name: str, geometry: DiskGeometry, seed: int, rank_gamma: int | None
-) -> str:
+class _DigestMemo:
     """SHA-256 of the one answer a verified request for a named BMMC
     permutation can leave: its inverse image ``A^-1 (y (+) c)``, the
     int64 vector the target must equal for ``verify_permutation`` to
-    pass.  Keyed like :func:`_named_bmmc`; each entry is one hex string.
+    pass.  Keyed like :func:`_named_bmmc`, on the last
+    :data:`PERMUTATION_MEMO_SIZE` keys; each entry is one hex string.
+
+    A request passes ``answer``, the int64 portion whose check just
+    passed: the check proved those bytes equal to the image, so a miss
+    hashes them in place.  Without it, a miss builds the image.  One
+    lock guards the entries; two racing misses hash the same bytes.
     """
-    perm = _named_bmmc(name, geometry, seed, rank_gamma)
-    return hashlib.sha256(perm.inverse().target_vector()).hexdigest()
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+        self._digests: OrderedDict[tuple, str] = OrderedDict()
+
+    def __call__(
+        self,
+        name: str,
+        geometry: DiskGeometry,
+        seed: int,
+        rank_gamma: int | None,
+        answer: np.ndarray | None = None,
+    ) -> str:
+        key = (name, geometry, seed, rank_gamma)
+        with self._lock:
+            digest = self._digests.get(key)
+            if digest is not None:
+                self._digests.move_to_end(key)
+                return digest
+        if answer is None:
+            answer = _named_bmmc(*key).inverse().target_vector()
+        # Looked up on the module at call time: a timing probe may
+        # replace this module's ``hashlib``.
+        digest = hashlib.sha256(answer).hexdigest()
+        with self._lock:
+            self._digests[key] = digest
+            self._digests.move_to_end(key)
+            if len(self._digests) > self.maxsize:
+                self._digests.popitem(last=False)
+        return digest
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._digests.clear()
+
+
+_verified_digest = _DigestMemo(PERMUTATION_MEMO_SIZE)
 
 
 @dataclass(frozen=True)
@@ -329,9 +370,10 @@ def _execute_request(
     int64 system, takes it from :func:`_verified_digest` instead: the
     check compared every record with the inverse image, so the portion
     holds exactly that int64 vector, and its hash is computed once per
-    ``(name, geometry, seed, rank_gamma)``.  Every other request -- no
-    verification, a failed check, ``"random"``, a ready permutation
-    object, another dtype -- hashes the portion it left.
+    ``(name, geometry, seed, rank_gamma)``, from the portion itself.
+    Every other request -- no verification, a failed check,
+    ``"random"``, a ready permutation object, another dtype -- hashes
+    the portion it left.
     """
     system.fill_identity(request.source_portion)
     perm = request.perm
@@ -360,7 +402,8 @@ def _execute_request(
             and system.dtype == np.int64
         ):
             digest = _verified_digest(
-                request.perm, system.geometry, request.seed, request.rank_gamma
+                request.perm, system.geometry, request.seed, request.rank_gamma,
+                system.portion_view(report.final_portion),
             )
         else:
             # hashlib reads the portion's contiguous row in place

@@ -269,3 +269,83 @@ def test_warm_request_builds_no_inverse(name, monkeypatch):
     assert warm.verified and cold.verified
     assert warm_digest == cold_digest
     assert built == []
+
+
+@pytest.mark.parametrize("name", ["bit-reversal", "random-bmmc", "random-mld"])
+def test_a_cold_digest_hashes_the_verified_portion(name, monkeypatch):
+    """A memo miss hashes the portion the check just passed: the request
+    builds the inverse image once, for the check, not again for the
+    digest, and the memo holds that portion's hash."""
+    from repro.bits import bitops
+
+    g = GEOMETRIES[1]
+    images = []
+    image = bitops.affine_image
+
+    def counting_image(*args, **kwargs):
+        images.append(1)
+        return image(*args, **kwargs)
+
+    monkeypatch.setattr(bitops, "affine_image", counting_image)
+    digests = []
+    for capture in (False, True):
+        _verified_digest.cache_clear()
+        # a fresh permutation object, whose inverse builds its image anew
+        perm = make_permutation(name, g, seed=4)
+        monkeypatch.setattr(requests, "make_permutation", lambda *a, **k: perm)
+        request = PermutationRequest(
+            perm=name, seed=4, geometry=g, capture_portion=capture
+        )
+        images.clear()
+        system = ParallelDiskSystem(g)
+        report, digest = _execute_request(system, request, PlanCache())
+        assert report.verified
+        digests.append((len(images), digest))
+        if capture:
+            assert digest == sha256_of(system, report.final_portion)
+    (plain, none), (captured, digest) = digests
+    assert none is None
+    assert captured == plain
+    assert _verified_digest(name, g, 4, None) == digest
+
+
+def test_the_digest_memo_is_safe_across_threads():
+    """Eight threads miss and hit one small memo at once: every digest
+    is its key's, and the memo never holds more than its size."""
+    import sys
+    import threading
+
+    g = GEOMETRIES[0]
+    keys = [(name, seed) for name in ("gray", "random-mld") for seed in range(6)]
+    want = {}
+    for name, seed in keys:
+        perm = make_permutation(name, g, seed=seed)
+        answer = np.empty(g.N, dtype=np.int64)
+        answer[perm.target_vector()] = np.arange(g.N)
+        want[name, seed] = hashlib.sha256(answer).hexdigest()
+    memo = type(_verified_digest)(maxsize=4)
+    errors, sizes = [], []
+
+    def worker(offset):
+        try:
+            for i in range(3 * len(keys)):
+                name, seed = keys[(i + offset) % len(keys)]
+                assert memo(name, g, seed, None) == want[name, seed]
+                with memo._lock:
+                    sizes.append(len(memo._digests))
+        except BaseException as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert max(sizes) <= 4

@@ -87,18 +87,19 @@ def _status_code(status_line: bytes) -> int:
     return int(status_line.split(b" ", 2)[1])
 
 
-def _bare_error(fe, data: bytes, code: int, message: str) -> None:
-    """A request refused before its version was read is answered as
-    HTTP/0.9: the error page alone, no status line, then a close."""
-    conn = _Conn(fe)
-    try:
-        conn.send(data)
-        raw = conn.reader.read()
-    finally:
-        conn.close()
-    assert not raw.startswith(b"HTTP/")
-    assert f"<p>Error code: {code}</p>".encode() in raw
-    assert f"<p>Message: {message}.</p>".encode() in raw
+def _refused(fe, data: bytes, code: int, message: str) -> None:
+    """A request refused before its version was read is answered with
+    an HTTP/1.1 status line, the stdlib's error page and its fields,
+    ``Connection: close`` among them, then a close."""
+    status, fields, body = _exchange(fe, data)
+    assert status == f"HTTP/1.1 {code} {message}".encode("latin-1")
+    assert [name for name, _ in fields] == [
+        "Server", "Date", "Connection", "Content-Type", "Content-Length",
+    ]
+    assert ("Connection", "close") in fields
+    assert ("Content-Type", "text/html;charset=utf-8") in fields
+    assert f"<p>Error code: {code}</p>".encode() in body
+    assert f"<p>Message: {message}.</p>".encode() in body
 
 
 # --------------------------------------------------------------------------
@@ -120,14 +121,14 @@ class TestRequestLine:
          "HTTP/\u00b2.1"],
     )
     def test_bad_version_is_400(self, fe, version):
-        _bare_error(
+        _refused(
             fe, f"GET /healthz {version}\r\n\r\n".encode("latin-1"), 400,
             f"Bad request version ({version!r})",
         )
 
     @pytest.mark.parametrize("version", ["HTTP/2.0", "HTTP/3.0"])
     def test_http2_or_later_is_505(self, fe, version):
-        _bare_error(
+        _refused(
             fe, f"GET /healthz {version}\r\n\r\n".encode(), 505,
             f"Invalid HTTP version ({version[5:]})",
         )
@@ -139,10 +140,10 @@ class TestRequestLine:
         )
 
     def test_a_one_word_request_line_is_400(self, fe):
-        _bare_error(fe, b"GET\r\n\r\n", 400, "Bad request syntax ('GET')")
+        _refused(fe, b"GET\r\n\r\n", 400, "Bad request syntax ('GET')")
 
     def test_http09_non_get_is_400(self, fe):
-        _bare_error(
+        _refused(
             fe, b"POST /permutations\r\n", 400,
             "Bad HTTP/0.9 request type ('POST')",
         )
@@ -382,6 +383,19 @@ HEADS = [
     b"GET / HTTP/1.1\r\nX: " + b"a" * 65532 + b"\r\n\r\n",
 ]
 
+#: The intended differences, by request line and status: the stdlib
+#: answers these as HTTP/0.9, with the error page alone, where this
+#: server writes an HTTP/1.1 status line and the page's fields first.
+REFUSED = {
+    b"GET\r\n\r\n": 400,
+    b"GET / HTTP/1.x\r\n\r\n": 400,
+    b"GET / HTTP/1\r\n\r\n": 400,
+    b"GET / HTTP/\xb2.1\r\n\r\n": 400,
+    b"GET / HTTP/2.0\r\n\r\n": 505,
+    b"GET / HTTP/12.3\r\n\r\n": 505,
+    b"POST /p\r\n\r\n": 400,
+}
+
 FIELD_NAMES = [
     "Content-Length", "Idempotency-Key", "Connection", "Expect", "Host",
     "X-0", "X-98", "", "folded", "From",
@@ -410,12 +424,30 @@ def _parsed(parse, head: bytes):
     }
 
 
+def _as_http09(ours: dict, code: int) -> None:
+    """Check that a refused head's answer is an HTTP/1.1 status line,
+    fields with ``Connection: close``, a blank line and the page, then
+    drop all but the page, as the stdlib answers."""
+    assert ours["version"] == "HTTP/1.1" and ours["close"]
+    head, _, page = ours["written"].partition(b"\r\n\r\n")
+    status, *fields = head.split(b"\r\n")
+    assert status.startswith(b"HTTP/1.1 %d " % code)
+    assert b"Connection: close" in fields
+    assert page.startswith(b"<!DOCTYPE HTML>")
+    ours["version"], ours["written"] = "HTTP/0.9", page
+
+
 class TestAgainstTheStdlib:
     @pytest.mark.parametrize("head", HEADS, ids=range(len(HEADS)))
     def test_same_outcome_as_the_stdlib(self, head):
         ours = _parsed(_Handler.parse_request, head)
         stdlib = _parsed(BaseHTTPRequestHandler.parse_request, head)
+        if head in REFUSED:
+            _as_http09(ours, REFUSED[head])
         assert ours == stdlib
+
+    def test_every_refused_head_is_among_the_heads(self):
+        assert set(REFUSED) <= set(HEADS)
 
     def test_a_bare_cr_stays_in_the_value(self):
         # email.feedparser ends a line at a bare CR; this reader keeps
