@@ -739,8 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="serve the permutation this many times on fresh data, reporting "
         "per-run wall time; BMMC-class methods and the distribution sort "
-        "(staged plan materialized per seed) hit the compiled-plan cache on "
-        "repeats (the general sort's schedule is data-dependent and uncached)",
+        "(one plan per seed) hit the compiled-plan cache on repeats (the "
+        "general sort's schedule follows the source data and is uncached)",
     )
     p_run.add_argument("--trace", action="store_true", help="print schedule metrics")
     p_run.add_argument("--timeline", action="store_true", help="ASCII disk timeline")

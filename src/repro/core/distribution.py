@@ -29,19 +29,20 @@ Total: ``T + 1`` passes with near-``2N/BD`` parallel I/Os each (read
 batching is probabilistic; the trace summary reports the achieved
 parallelism).
 
-The algorithm is *adaptive*: each pass's I/Os depend on the previous
-pass's randomized placement map and on the keys materialized so far, so
-it cannot be a single static plan.  :func:`plan_distribution_sort`
-therefore emits a :class:`~repro.pdm.stage.StagedPlan` -- one declarative
-:class:`~repro.pdm.schedule.IOPlan` stage per pass, planned from the
-state the prior stages materialized (peeked keys plus the placement
-map) -- and every data movement still executes through the plan engines
-as counted, memory-checked I/O.  On the canonical ``fill_identity``
-input the whole staged schedule is a pure function of ``(geometry,
+The schedule is data-dependent -- each pass's I/Os follow the keys the
+previous pass materialized and its randomized placement map -- but the
+source's record values and the RNG seed fix it up front, as the source
+fixes the merge sort's (:mod:`repro.core.general`).
+:func:`plan_distribution_sort` therefore returns one static
+:class:`~repro.pdm.schedule.IOPlan`: it simulates the data flow pass by
+pass on a bare portions array (advanced by
+:meth:`~repro.pdm.schedule.IOPlan.apply_to`) and plans each pass from
+the simulated state, and every data movement still executes through the
+plan engines as counted, memory-checked I/O.  On the canonical
+``fill_identity`` source the plan is a pure function of ``(geometry,
 permutation, digit_bits, prefetch_window, seed)``, so
-:func:`perform_distribution_sort` can also materialize and cache the
-composed plan like any static planner, with the RNG seed in the cache
-key.
+:func:`perform_distribution_sort` caches it like any static planner,
+with the RNG seed in the cache key.
 """
 
 from __future__ import annotations
@@ -54,20 +55,15 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
 from repro.pdm.geometry import DiskGeometry
-from repro.pdm.schedule import PlanBuilder
-from repro.pdm.stage import (
-    StagedPlan,
-    execute_staged,
-    identity_portions,
-    materialize_staged,
-)
-from repro.pdm.system import ParallelDiskSystem
+from repro.pdm.schedule import IOPlan, PlanBuilder
+from repro.pdm.system import EMPTY, ParallelDiskSystem
 from repro.perms.base import Permutation
 from repro.perms.bmmc import BMMCPermutation
 
 __all__ = [
     "perform_distribution_sort",
     "plan_distribution_sort",
+    "DistributionSortPlan",
     "DistributionSortResult",
     "tune_parameters",
 ]
@@ -91,6 +87,17 @@ class DistributionSortResult:
     blocks_per_pass_read: int = 0
 
 
+@dataclass
+class DistributionSortPlan:
+    """A planned distribution sort: the I/O plan plus its shape."""
+
+    io_plan: IOPlan
+    passes: int
+    digit_bits: int
+    prefetch_window: int
+    final_portion: int
+
+
 def tune_parameters(geometry) -> tuple[int, int]:
     """Pick ``(digit_bits, prefetch_window)`` fitting the memory budget.
 
@@ -109,62 +116,76 @@ def tune_parameters(geometry) -> tuple[int, int]:
     )
 
 
+def _knobs(geometry, digit_bits, prefetch_window) -> tuple[int, int]:
+    """``(digit_bits, prefetch_window)``, each tuned where not given."""
+    auto_w, auto_window = tune_parameters(geometry)
+    w = auto_w if digit_bits is None else digit_bits
+    window = auto_window if prefetch_window is None else prefetch_window
+    if w < 1 or window < 1:
+        raise ValidationError("digit_bits and prefetch_window must be positive")
+    return w, window
+
+
 def plan_distribution_sort(
     geometry: DiskGeometry,
     perm: Permutation,
+    source_values: np.ndarray,
     source_portion: int = 0,
     target_portion: int = 1,
     digit_bits: int | None = None,
     prefetch_window: int | None = None,
     seed: int = 0,
-) -> StagedPlan:
-    """Stage emitter for the randomized-placement distribution sort.
+) -> DistributionSortPlan:
+    """Plan the randomized-placement distribution sort as one static plan.
 
-    Returns a :class:`~repro.pdm.stage.StagedPlan` of ``T + 1`` stages
-    (one per pass).  Each digit stage peeks the current input portion,
-    plans the exact prefetcher/placement-writer I/O sequence of the
-    hand-written performer -- including identical consumption of the
+    ``source_values`` must hold the source portion's record payloads
+    (``peek``-ed by :func:`perform_distribution_sort`, or the canonical
+    ``fill_identity`` payloads for a cached plan).  The planner
+    simulates the data flow on a bare portions array: each of the
+    ``T + 1`` passes is planned from the simulated input portion --
+    the exact prefetcher/placement-writer I/O sequence of the
+    hand-written performer, including identical consumption of the
     seeded RNG, so the placement map and I/O trace are reproducible
-    functions of ``seed`` -- and carries the logical-to-physical map
-    forward to the next stage.  ``meta`` records ``passes``,
-    ``digit_bits``, ``prefetch_window``, and ``final_portion``.
+    functions of ``seed`` -- and then applied to the array
+    (:meth:`IOPlan.apply_to`) to give the next pass its input.
     """
     g = geometry
-    auto_w, auto_window = tune_parameters(g)
-    w = auto_w if digit_bits is None else digit_bits
-    window = auto_window if prefetch_window is None else prefetch_window
-    if w < 1 or window < 1:
-        raise ValidationError("digit_bits and prefetch_window must be positive")
+    w, window = _knobs(g, digit_bits, prefetch_window)
+    source_values = np.asarray(source_values)
+    if source_values.shape != (g.N,):
+        raise ValidationError(
+            f"planner needs the full source portion ({g.N} records), "
+            f"got shape {source_values.shape}"
+        )
+    num_passes = -(-(g.n - g.b) // w)
 
-    total_digit_bits = g.n - g.b
-    num_passes = -(-total_digit_bits // w)
-    final_portion = target_portion if num_passes % 2 == 0 else source_portion
+    portions = np.full(
+        (max(source_portion, target_portion) + 1, g.N), EMPTY,
+        dtype=source_values.dtype,
+    )
+    portions[source_portion] = source_values
+    rng = np.random.default_rng(seed)
+    # logical->physical block map of the current input (identity at start)
+    map_in = np.arange(g.num_blocks, dtype=np.int64)
+    pin, pout = source_portion, target_portion
+    plans = []
+    for p in range(num_passes):
+        shift = g.b + p * w
+        plan, map_in = _plan_distribution_pass(
+            g, portions[pin], perm, pin, map_in, pout, shift,
+            min(w, g.n - shift), window, rng, label=f"dist:digit{p}",
+        )
+        plan.apply_to(portions)
+        plans.append(plan)
+        pin, pout = pout, pin
+    plans.append(_plan_gather_pass(g, portions[pin], perm, pin, map_in, pout, window))
 
-    def emit(view):
-        rng = np.random.default_rng(seed)
-        # logical->physical block map of the current input (identity at start)
-        map_in = np.arange(g.num_blocks, dtype=np.int64)
-        pin, pout = source_portion, target_portion
-        for p in range(num_passes):
-            shift = g.b + p * w
-            bits_here = min(w, g.n - shift)
-            plan, map_in = _plan_distribution_pass(
-                g, view, perm, pin, map_in, pout, shift, bits_here, window,
-                rng, label=f"dist:digit{p}",
-            )
-            yield plan
-            pin, pout = pout, pin
-        yield _plan_gather_pass(g, view, perm, pin, map_in, pout, window)
-
-    return StagedPlan(
-        g,
-        emit,
-        meta=dict(
-            passes=num_passes + 1,
-            digit_bits=w,
-            prefetch_window=window,
-            final_portion=final_portion,
-        ),
+    return DistributionSortPlan(
+        io_plan=IOPlan.concatenate(plans),
+        passes=num_passes + 1,
+        digit_bits=w,
+        prefetch_window=window,
+        final_portion=pout,
     )
 
 
@@ -194,54 +215,47 @@ def perform_distribution_sort(
     ``fill_identity`` input); the record with payload ``v`` ends at
     address ``perm(v)``.
 
-    All I/O flows through staged plans: without ``cache`` the stages are
-    planned adaptively from the live system state and executed one at a
-    time under ``engine``.  With ``cache`` the staged plan is
-    materialized against a pure simulation of the canonical input into
-    one composed plan and served through the compiled-plan cache; the
-    key includes the RNG ``seed``, so runs with different seeds -- whose
-    placement maps differ -- never share an entry.
+    The plan runs through :func:`~repro.pdm.cache.cached_execute` under
+    ``engine``.  Without ``cache`` it is planned from the source the
+    system holds.  With ``cache`` it is planned from the canonical
+    ``fill_identity`` payloads its key assumes and served through the
+    compiled-plan cache; the key includes the RNG ``seed``, so runs with
+    different seeds -- whose placement maps differ -- never share an
+    entry.
     """
     g = system.geometry
-    staged = plan_distribution_sort(
-        g, perm, source_portion, target_portion,
-        digit_bits=digit_bits, prefetch_window=prefetch_window, seed=seed,
-    )
-    meta = staged.meta
+    w, window = _knobs(g, digit_bits, prefetch_window)
+    key = None
+    if cache is not None:
+        key = plan_key(
+            "distribution", g, _perm_cache_component(perm),
+            source_portion, target_portion, w, window, seed,
+            system.num_portions, system.simple_io,
+        )
+
+    def build():
+        if cache is None:
+            source = system.peek(source_portion, 0, g.N)
+        else:
+            source = np.arange(g.N, dtype=np.int64)
+        sort = plan_distribution_sort(
+            g, perm, source, source_portion, target_portion,
+            digit_bits=w, prefetch_window=window, seed=seed,
+        )
+        return sort.io_plan, (sort.passes, sort.final_portion)
+
     before = system.stats.parallel_ios
     reads_before = system.stats.parallel_reads
     writes_before = system.stats.parallel_writes
     blocks_read_before = system.stats.blocks_read
-
-    if cache is not None:
-        key = plan_key(
-            "distribution", g, _perm_cache_component(perm),
-            source_portion, target_portion,
-            meta["digit_bits"], meta["prefetch_window"], seed,
-            system.num_portions, system.simple_io,
-        )
-        cached_execute(
-            system, cache, key,
-            lambda: (
-                materialize_staged(
-                    staged,
-                    identity_portions(g, system.num_portions, source_portion),
-                    simple_io=system.simple_io,
-                ),
-                dict(meta),
-            ),
-            engine=engine, stream_records=stream_records,
-        )
-    else:
-        execute_staged(
-            system, staged, engine=engine, stream_records=stream_records
-        )
-
+    (passes, final_portion), _, _ = cached_execute(
+        system, cache, key, build, engine=engine, stream_records=stream_records
+    )
     return DistributionSortResult(
-        passes=meta["passes"],
-        digit_bits=meta["digit_bits"],
-        prefetch_window=meta["prefetch_window"],
-        final_portion=meta["final_portion"],
+        passes=passes,
+        digit_bits=w,
+        prefetch_window=window,
+        final_portion=final_portion,
         parallel_ios=system.stats.parallel_ios - before,
         read_ops=system.stats.parallel_reads - reads_before,
         write_ops=system.stats.parallel_writes - writes_before,
@@ -250,13 +264,14 @@ def perform_distribution_sort(
 
 
 # --------------------------------------------------------------------------
-# the stage planners
+# the pass planners
 # --------------------------------------------------------------------------
 
 def _plan_distribution_pass(
-    g, view, perm, pin, map_in, pout, shift, bits, window, rng, label
+    g, values_in, perm, pin, map_in, pout, shift, bits, window, rng, label
 ):
-    """Plan one LSD digit pass from the materialized input state.
+    """Plan one LSD digit pass from its input portion's record values
+    (``values_in``, in physical address order).
 
     Mirrors the hand-written pass exactly -- same prefetcher reads, same
     bucket fills, same randomized flush placements (identical RNG
@@ -264,7 +279,6 @@ def _plan_distribution_pass(
     read-stream slots instead of moving data itself.  Returns the plan
     and the pass's logical-to-physical placement map.
     """
-    values_in = view.peek(pin, 0, g.N)  # physical-address-order snapshot
     builder = PlanBuilder(g)
     builder.begin_pass(label)
     num_buckets = 1 << bits
@@ -310,10 +324,11 @@ def _plan_distribution_pass(
     return builder.build(), writer.logical_to_physical()
 
 
-def _plan_gather_pass(g, view, perm, pin, map_in, pout, window, label="dist:gather"):
+def _plan_gather_pass(
+    g, values_in, perm, pin, map_in, pout, window, label="dist:gather"
+):
     """Plan the final pass: logical-order reads, in-memory offset fix,
     striped writes to the true target addresses."""
-    values_in = view.peek(pin, 0, g.N)
     builder = PlanBuilder(g)
     builder.begin_pass(label)
     reader = _PlannedPrefetcher(builder, pin, values_in, map_in, window)
@@ -338,8 +353,8 @@ class _PlannedPrefetcher:
     """In-order consumption with bounded lookahead and D-wide batching.
 
     Plans the reads the runtime prefetcher issued; ``get`` hands back a
-    logical block's record values (from the stage-start snapshot; valid
-    because a pass never re-reads a block) and their stream slots.
+    logical block's record values (from the pass's input values) and
+    their stream slots.
     """
 
     def __init__(self, builder, portion, values, logical_to_physical, window):

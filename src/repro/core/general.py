@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.pdm.engine import execute_plan
+from repro.pdm.cache import cached_execute
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import IOPlan, PlanBuilder
 from repro.pdm.system import ParallelDiskSystem
@@ -221,23 +221,28 @@ def perform_general_sort(
     """Permute by external merge sort on target addresses.
 
     Ping-pongs between the two portions; the result reports where the
-    output landed.  The schedule is data-dependent, so there is no plan
-    cache.  The merge passes ping-pong full portions, so the fast
-    engine runs the whole sort as one physical gather while reporting
-    per-pass stats.
+    output landed.  The schedule follows the source the system holds,
+    so the plan runs through :func:`~repro.pdm.cache.cached_execute`
+    without a cache.  The merge passes ping-pong full portions, so the
+    fast engine runs the whole sort as one physical gather while
+    reporting per-pass stats.
     """
     g = system.geometry
-    plan = plan_general_sort(
-        g,
-        perm,
-        system.peek(source_portion, 0, g.N),
-        source_portion,
-        target_portion,
-        fan_in=fan_in,
-    )
+
+    def build():
+        plan = plan_general_sort(
+            g,
+            perm,
+            system.peek(source_portion, 0, g.N),
+            source_portion,
+            target_portion,
+            fan_in=fan_in,
+        )
+        return plan.io_plan, plan
+
     before = system.stats.parallel_ios
-    execute_plan(
-        system, plan.io_plan, engine=engine, stream_records=stream_records
+    plan, _, _ = cached_execute(
+        system, None, None, build, engine=engine, stream_records=stream_records
     )
     return GeneralSortResult(
         passes=plan.passes,

@@ -82,19 +82,21 @@ def perform_permutation(
     ``engine`` selects plan execution: ``strict`` replays every parallel
     I/O through the rule-checked simulator path, ``fast`` runs the same
     plan through :mod:`repro.pdm.optimize`, one numpy gather per
-    whole-portion unit of passes (identical portions and stats).  The
-    distribution sort is adaptive (its I/Os depend on sampled state); it
-    runs as a staged plan (:mod:`repro.pdm.stage`) whose stages execute
-    under either engine.
+    whole-portion unit of passes (identical portions and stats).  Every
+    method's plan runs through :func:`~repro.pdm.cache.cached_execute`,
+    which records its ``plan`` and ``execute`` stages.  The two sorts'
+    schedules are data-dependent: each is planned as one static plan by
+    simulating forward from the source's record values (and, for the
+    distribution sort, its seeded placement RNG).
 
     ``cache`` -- a :class:`~repro.pdm.cache.PlanCache` -- serves
     repeated (geometry, matrix, method) workloads from compiled plans,
     skipping classification, planning, fusing, and validation, and
     leaves portions and :class:`~repro.pdm.stats.IOStats` identical to
-    an uncached strict run.  The general sort's schedule is
-    data-dependent and is never cached; the distribution sort caches
-    its materialized staged plan keyed by the RNG seed (its canonical
-    input makes the schedule a pure function of the seed and knobs).
+    an uncached strict run.  The general sort's plan follows the source
+    the system holds and is never cached; the distribution sort caches
+    the plan of the canonical source keyed by the RNG seed (that input
+    makes the schedule a pure function of the seed and knobs).
 
     ``seed`` feeds the distribution sort's placement RNG (other methods
     are deterministic and ignore it).

@@ -29,16 +29,6 @@ from repro.pdm.engine import (
     validate_plan,
 )
 from repro.pdm.optimize import OptimizedPlan, OptimizeReport, optimize_plan
-from repro.pdm.stage import (
-    SimulatedStageView,
-    StagedPlan,
-    StagedReport,
-    StageView,
-    SystemStageView,
-    execute_staged,
-    identity_portions,
-    materialize_staged,
-)
 from repro.pdm.cache import (
     CacheInfo,
     CompiledPlan,
@@ -72,14 +62,6 @@ __all__ = [
     "OptimizedPlan",
     "OptimizeReport",
     "optimize_plan",
-    "StageView",
-    "SystemStageView",
-    "SimulatedStageView",
-    "StagedPlan",
-    "StagedReport",
-    "execute_staged",
-    "materialize_staged",
-    "identity_portions",
     "CacheInfo",
     "CompiledPlan",
     "PlanCache",

@@ -333,7 +333,7 @@ ShardedPlanCache = PlanCache
 def cached_execute(
     system: ParallelDiskSystem,
     cache: PlanCache | None,
-    key: tuple,
+    key: tuple | None,
     build: Callable[[], tuple[IOPlan, object]],
     engine: str = "fast",
     stream_records=None,
@@ -347,7 +347,8 @@ def cached_execute(
 
     With ``cache=None`` the plan is built and handed straight to
     :func:`~repro.pdm.engine.execute_plan` -- no audit and no compiled
-    entry, so the strict engine keeps its liveness-bounded host memory.
+    entry, so the strict engine keeps its liveness-bounded host memory;
+    ``key`` is not read.
     Otherwise all cache traffic goes through ``cache.get_or_compile``,
     so a cache shared between worker threads gets compile-once cold
     misses and exact counters with no changes to the algorithm

@@ -594,6 +594,8 @@ def _execute_strict(
             system.stats.end_pass()
         if capture:
             report.streams.append(stream)
+        # Free this pass's buffer before the next pass builds its steps.
+        del stream
     return report
 
 

@@ -378,44 +378,42 @@ class IOPlan:
         self.passes = passes if passes is not None else []
 
     # ---------------------------------------------------------- composition
-    def extend(self, other: "IOPlan", merge: bool = True) -> "IOPlan":
+    def extend(self, other: "IOPlan") -> "IOPlan":
         """Append ``other``'s passes after this plan's (same geometry).
 
-        With ``merge=True`` (the default) adjacent passes that share a
-        label and touch disjoint blocks are merged into one pass, so
-        composing two halves of the same logical pass does not inflate
-        the pass count ``describe()`` and :class:`~repro.pdm.stats`
-        report.  Unmergeable label collisions are disambiguated by
-        suffixing (``mld``, ``mld@2``, ...) so every pass row in a
-        measured table names a distinct pass.
+        Adjacent passes that share a label and touch disjoint blocks are
+        merged into one pass, so composing two halves of the same
+        logical pass does not inflate the pass count ``describe()`` and
+        :class:`~repro.pdm.stats` report.  Unmergeable label collisions
+        are disambiguated by suffixing (``mld``, ``mld@2``, ...) so every
+        pass row in a measured table names a distinct pass.
         """
         if other.geometry != self.geometry:
             raise ValidationError("cannot chain plans over different geometries")
         passes = list(self.passes)
         for p in other.passes:
-            if merge and passes:
+            if passes:
                 merged = _try_merge_passes(self.geometry, passes[-1], p)
                 if merged is not None:
                     passes[-1] = merged
                     continue
-            if merge:
-                taken = {q.label for q in passes}
-                if p.label in taken:
-                    k = 2
-                    while f"{p.label}@{k}" in taken:
-                        k += 1
-                    p = p.relabelled(f"{p.label}@{k}")
+            taken = {q.label for q in passes}
+            if p.label in taken:
+                k = 2
+                while f"{p.label}@{k}" in taken:
+                    k += 1
+                p = p.relabelled(f"{p.label}@{k}")
             passes.append(p)
         return IOPlan(self.geometry, passes)
 
     @classmethod
-    def concatenate(cls, plans: Sequence["IOPlan"], merge: bool = True) -> "IOPlan":
+    def concatenate(cls, plans: Sequence["IOPlan"]) -> "IOPlan":
         """Chain a sequence of plans into one multi-pass plan."""
         if not plans:
             raise ValidationError("cannot concatenate zero plans")
         result = plans[0]
         for plan in plans[1:]:
-            result = result.extend(plan, merge=merge)
+            result = result.extend(plan)
         return result
 
     # -------------------------------------------------------------- queries
@@ -436,23 +434,22 @@ class IOPlan:
         return sum(p.num_read_blocks + p.num_write_blocks for p in self.passes)
 
     # ------------------------------------------------------------ simulation
-    def apply_to(self, portions: np.ndarray, simple_io: bool = True, empty=None) -> None:
+    def apply_to(self, portions: np.ndarray, simple_io: bool = True) -> None:
         """Apply the plan's data movement to a bare portions array, in place.
 
         ``portions`` has shape ``(num_portions, N)``.  This is the pure
         semantics of the plan -- gather each pass's read stream, empty
         consumed blocks, scatter the writes -- with no system, no model
-        rules, and no I/O accounting.  The staged-plan materializer
-        (:mod:`repro.pdm.stage`) uses it to advance simulated state
-        between stages; it assumes the *fused* within-pass semantics
-        (reads before writes), which every pass the fast engine accepts
-        satisfies.  ``empty`` defaults to the system's
+        rules, and no I/O accounting.  The distribution sort's planner
+        (:func:`~repro.core.distribution.plan_distribution_sort`) uses
+        it to advance its simulated portions from one planned pass to
+        the next; it assumes the *fused* within-pass semantics (reads
+        before writes), which every pass the fast engine accepts
+        satisfies.  Consumed blocks are set to the system's
         :data:`~repro.pdm.system.EMPTY` sentinel.
         """
-        if empty is None:
-            from repro.pdm.system import EMPTY  # local: system is a peer module
+        from repro.pdm.system import EMPTY  # local: system is a peer module
 
-            empty = EMPTY
         g = self.geometry
         offsets = np.arange(g.B, dtype=np.int64)[None, :]
         for pas in self.passes:
@@ -465,7 +462,7 @@ class IOPlan:
             )
             rec_consume = np.repeat(consume, c.read_sizes * g.B)
             if rec_consume.any():
-                portions[rec_rport[rec_consume], read_addr[rec_consume]] = empty
+                portions[rec_rport[rec_consume], read_addr[rec_consume]] = EMPTY
             if c.write_source.size:
                 write_addr = ((c.write_ids[:, None] << g.b) + offsets).reshape(-1)
                 rec_wport = np.repeat(c.write_portions, c.write_sizes * g.B)

@@ -62,11 +62,15 @@ statuses, with the header fields read by a small reader
 (``_read_fields``) instead of ``email.feedparser``.  Each answer's
 status line, ``Server``, ``Date``, ``Content-Type`` and
 ``Content-Length`` fields and body go out in one write (error pages
-from ``send_error`` keep the stdlib's two).  A request line refused
-before its version is read -- a bad version, HTTP/2 or later, one
-word, an HTTP/0.9 request other than GET -- gets an HTTP/1.1 status
-line and the stdlib's error page, then a close; the stdlib sends these
-the page alone, as HTTP/0.9.  ``TCP_NODELAY`` stays:
+from ``send_error`` keep the stdlib's two).  Every answer is counted
+in ``repro_http_requests_total`` before it is written; one that
+``send_error`` writes before dispatch (a refused request line, an
+over-long line, too many fields, an unknown method) is counted under
+``method="*invalid*"`` and ``path="*unrouted*"``.  A request line
+refused before its version is read -- a bad version, HTTP/2 or later,
+one word, an HTTP/0.9 request other than GET -- gets an HTTP/1.1
+status line and the stdlib's error page, then a close; the stdlib
+sends these the page alone, as HTTP/0.9.  ``TCP_NODELAY`` stays:
 with Nagle's algorithm on, a send that follows another unacknowledged
 one waits for the client's delayed ACK (about 40 ms), and one write
 alone did not stop a 14.6 KB ``/metrics`` scrape from waiting.  Every
@@ -373,6 +377,23 @@ class _Handler(BaseHTTPRequestHandler):
         ):
             return self.handle_expect_100()
         return True
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Count an answer written before dispatch, then send the
+        stdlib's error page.
+
+        Only heads that never reach :meth:`_dispatch` are answered here:
+        the stdlib's 414 and 501, :meth:`_refuse`'s 400 and 505, and the
+        431 of :func:`_read_fields`.  They are counted before any byte
+        goes out, as :meth:`_account` counts a routed answer, under
+        ``path="*unrouted*"`` and a fixed method label: the method word
+        of a refused head is whatever the client sent, and a label per
+        word would let clients grow the series without bound.
+        """
+        self.frontend.metrics.http_requests.inc(
+            method="*invalid*", path="*unrouted*", status=str(int(code))
+        )
+        super().send_error(code, message, explain)
 
     def _refuse(self, code: int, message: str) -> bool:
         """Answer a refused request line with the stdlib's error page,

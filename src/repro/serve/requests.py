@@ -283,7 +283,9 @@ class RequestTrace:
     (:func:`~repro.pdm.cache.cached_execute`) records ``plan`` and
     ``execute``, plus ``compile`` on a cache miss and ``latch_wait``
     while another thread compiles the same key.  :meth:`record` *adds*,
-    so staged plans accumulate per stage rather than overwrite.
+    so a stage entered twice sums rather than overwrites: a slim cache
+    entry that cannot run this request's execution records ``execute``
+    once for the attempt and again for its re-plan's run.
     """
 
     __slots__ = ("request_id", "timings")

@@ -4,7 +4,7 @@ General PDM sorting is exactly where schedule correctness is subtlest
 (Guidesort, arXiv:1807.11328; PEM simulation, arXiv:1001.3364), so this
 suite holds the *whole* stack to one contract: for every planner --
 MLD, MRC, inverse-MLD, MLD-composition, multi-pass BMMC, general merge
-sort, staged distribution sort, and run-time detection -- execution
+sort, distribution sort, and run-time detection -- execution
 must produce byte-identical portions and identical
 :class:`~repro.pdm.stats.IOStats` (pass tables and memory envelope
 included) across the full combination matrix

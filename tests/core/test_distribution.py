@@ -178,7 +178,7 @@ class TestStagedPort:
     def test_module_performs_no_direct_io(self):
         """Acceptance guard: `core/distribution.py` never calls the
         simulator's I/O methods -- all data movement flows through
-        staged IOPlans executed by the engines."""
+        the IOPlan executed by the engines."""
         import inspect
 
         import repro.core.distribution as module
@@ -197,11 +197,13 @@ class TestStagedPort:
         from repro.core.distribution import plan_distribution_sort
 
         g = geometry
-        staged = plan_distribution_sort(g, vector_reversal(g.n), digit_bits=2)
+        plan = plan_distribution_sort(
+            g, vector_reversal(g.n), np.arange(g.N), digit_bits=2
+        )
         expected_passes = -(-(g.n - g.b) // 2) + 1
-        assert staged.meta["passes"] == expected_passes
-        assert staged.meta["digit_bits"] == 2
-        assert staged.meta["final_portion"] in (0, 1)
+        assert plan.passes == plan.io_plan.num_passes == expected_passes
+        assert plan.digit_bits == 2
+        assert plan.final_portion in (0, 1)
 
     def test_engine_parity(self, geometry):
         tv = np.random.default_rng(20).permutation(geometry.N)

@@ -1,13 +1,14 @@
-"""Staged distribution sort vs the hand-written performer, property-tested.
+"""The distribution sort's planner vs the hand-written performer,
+property-tested.
 
-The staged planner must be a *perfect* port: for any permutation, seed,
-and geometry, executing the staged plan reproduces the pre-port direct
+The planner must be a *perfect* port: for any permutation, seed, and
+geometry, executing its one static plan reproduces the pre-port direct
 implementation (kept verbatim in ``tests/core/reference_distribution``)
 record for record -- portions, pass count ``T + 1``, I/O counters and
 pass tables, memory peaks, and the per-operation I/O trace (which pins
 the randomized placement map: identical block ids written in identical
 order means identical placements).  Seeds are part of the contract:
-same seed means the same staged schedule, different seeds may differ.
+same seed means the same schedule, different seeds may differ.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.core.distribution import (
 )
 from repro.errors import ValidationError
 from repro.pdm.geometry import DiskGeometry
-from repro.pdm.stage import identity_portions, materialize_staged
 from repro.pdm.system import ParallelDiskSystem
 from repro.perms.base import ExplicitPermutation
 
@@ -69,10 +69,10 @@ def record_trace(system, into):
 @given(dist_geometry_strategy(), st.integers(0, 2**31), st.integers(0, 2**31))
 @settings(max_examples=25, deadline=None)
 def test_staged_equals_direct_simulator_execution(geometry, perm_seed, seed):
-    """Random permutations + seeds: staged execution == direct execution.
+    """Random permutations + seeds: planned execution == direct execution.
 
     Portions, pass count ``T + 1``, stats, memory peaks, and the full
-    I/O trace must coincide; the trace equality also proves the staged
+    I/O trace must coincide; the trace equality also proves the
     planner consumed the RNG identically, i.e. produced the same
     randomized placement map.
     """
@@ -103,7 +103,7 @@ def test_staged_equals_direct_simulator_execution(geometry, perm_seed, seed):
 @given(dist_geometry_strategy(), st.integers(0, 2**31), st.integers(0, 2**31))
 @settings(max_examples=15, deadline=None)
 def test_staged_fast_engine_equals_direct(geometry, perm_seed, seed):
-    """The same oracle holds when the stages execute fused."""
+    """The same oracle holds when the plan executes fused."""
     g = geometry
     perm = ExplicitPermutation(np.random.default_rng(perm_seed).permutation(g.N))
     direct = fresh(g)
@@ -125,8 +125,7 @@ class TestSeedDeterminism:
         return DiskGeometry(N=2**12, B=2**3, D=2**2, M=2**8)
 
     def materialized_schedule(self, g, perm, seed):
-        staged = plan_distribution_sort(g, perm, seed=seed)
-        plan = materialize_staged(staged, identity_portions(g))
+        plan = plan_distribution_sort(g, perm, np.arange(g.N), seed=seed).io_plan
         schedule = []
         for pas in plan.passes:
             c = pas._ensure_columns()
@@ -168,23 +167,29 @@ class TestSeedDeterminism:
         assert traces[0] == traces[1]
 
     def test_materialized_plan_equals_staged_execution(self, geometry):
-        """Cache path (materialize, execute composed) == adaptive path."""
-        from repro.pdm.engine import execute_plan
+        """Cached path (planned from the canonical source, compiled, run
+        cold then warm) == uncached path (planned from the system's
+        source), under both engines."""
+        from repro.pdm.cache import PlanCache
 
         g = geometry
         perm = ExplicitPermutation(np.random.default_rng(7).permutation(g.N))
-        adaptive = fresh(g)
-        perform_distribution_sort(adaptive, perm, seed=3, engine="fast")
-
-        composed = materialize_staged(
-            plan_distribution_sort(g, perm, seed=3), identity_portions(g)
-        )
-        replayed = fresh(g)
-        execute_plan(replayed, composed, engine="fast")
-        for portion in range(2):
-            assert (
-                adaptive.portion_values(portion) == replayed.portion_values(portion)
-            ).all()
-        assert adaptive.stats.snapshot() == replayed.stats.snapshot()
-        assert adaptive.stats.passes == replayed.stats.passes
-        assert adaptive.memory.peak == replayed.memory.peak
+        for engine in ("strict", "fast"):
+            uncached = fresh(g)
+            want = perform_distribution_sort(uncached, perm, seed=3, engine=engine)
+            cache = PlanCache()
+            for expected_hits in (0, 1):
+                cached = fresh(g)
+                got = perform_distribution_sort(
+                    cached, perm, seed=3, engine=engine, cache=cache
+                )
+                assert cache.info().hits == expected_hits
+                assert got == want
+                for portion in range(2):
+                    assert (
+                        uncached.portion_values(portion)
+                        == cached.portion_values(portion)
+                    ).all()
+                assert uncached.stats.snapshot() == cached.stats.snapshot()
+                assert uncached.stats.passes == cached.stats.passes
+                assert uncached.memory.peak == cached.memory.peak

@@ -276,15 +276,12 @@ class TestRandomizedPlannerKeys:
         """Justifies the key split: different seeds produce different
         write placements, so one compiled plan cannot serve both."""
         from repro.core.distribution import plan_distribution_sort
-        from repro.pdm.stage import identity_portions, materialize_staged
         from repro.perms.base import ExplicitPermutation
 
         g = dist_geometry
         perm = ExplicitPermutation(np.random.default_rng(1).permutation(g.N))
         plans = [
-            materialize_staged(
-                plan_distribution_sort(g, perm, seed=seed), identity_portions(g)
-            )
+            plan_distribution_sort(g, perm, np.arange(g.N), seed=seed).io_plan
             for seed in (1, 2)
         ]
         first_digit = [p.passes[0]._ensure_columns() for p in plans]

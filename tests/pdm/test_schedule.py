@@ -195,7 +195,9 @@ class TestComposeMerge:
 
         g = geometry
         merged = self._half_plan(g, 0).extend(self._half_plan(g, 1))
-        unmerged = self._half_plan(g, 0).extend(self._half_plan(g, 1), merge=False)
+        unmerged = IOPlan(
+            g, [self._half_plan(g, 0).passes[0], self._half_plan(g, 1).passes[0]]
+        )
         assert unmerged.num_passes == 2
         outputs = []
         for plan in (merged, unmerged):
@@ -240,3 +242,45 @@ class TestComposeMerge:
         g = geometry
         combined = self._half_plan(g, 0, "a").extend(self._half_plan(g, 1, "b"))
         assert [p.label for p in combined.passes] == ["a", "b"]
+
+
+class TestApplyTo:
+    """``IOPlan.apply_to``: the plan's data movement on a bare portions
+    array, which the distribution sort's planner simulates forward on."""
+
+    @staticmethod
+    def _canonical_portions(g):
+        from repro.pdm.system import EMPTY
+
+        portions = np.full((2, g.N), EMPTY, dtype=np.int64)
+        portions[0] = np.arange(g.N)
+        return portions
+
+    def test_matches_engine_execution(self, geometry):
+        from repro.pdm.engine import execute_plan
+        from repro.pdm.system import ParallelDiskSystem
+
+        g = geometry
+        b = PlanBuilder(g)
+        b.begin_pass("flip")
+        for stripe in range(g.num_stripes):
+            slots = b.read_stripe(0, stripe)
+            b.write_stripe(1, stripe, slots[::-1].copy())
+        plan = b.build()
+        system = ParallelDiskSystem(g)
+        system.fill_identity(0)
+        execute_plan(system, plan, engine="strict")
+        portions = self._canonical_portions(g)
+        plan.apply_to(portions)
+        assert (portions[0] == system.portion_values(0)).all()
+        assert (portions[1] == system.portion_values(1)).all()
+
+    def test_consume_respects_simple_io_flag(self, geometry):
+        g = geometry
+        b = PlanBuilder(g)
+        b.begin_pass("peek")
+        b.read_stripe(0, 0, consume=False)
+        plan = b.build()
+        portions = self._canonical_portions(g)
+        plan.apply_to(portions, simple_io=False)
+        assert (portions[0] == np.arange(g.N)).all()  # nothing consumed

@@ -21,6 +21,7 @@ import os
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.pdm.cache import PlanCache
@@ -167,23 +168,21 @@ class TestDistributionSeedIsolation:
             assert got.ok and got.report.verified
             assert got.digest == want.digest
             assert got.report.io == want.report.io
-        # one materialized plan per seed, compiled exactly once
+        # one plan per seed, compiled exactly once
         assert cache.info().misses == len(self.SEEDS)
 
     @staticmethod
     def _placement_write_ids(seed):
-        """Materialize the staged distribution plan for ``seed`` and
-        collect every write step's physical block ids -- the placement
-        map, as the plan engine will see it."""
+        """Plan the distribution sort of the canonical source for
+        ``seed`` and collect every write step's physical block ids --
+        the placement map, as the plan engine will see it."""
         from repro.core.distribution import plan_distribution_sort
-        from repro.pdm.stage import identity_portions, materialize_staged
         from repro.serve import make_permutation
 
         perm = make_permutation("transpose", GEOMETRY)
-        staged = plan_distribution_sort(GEOMETRY, perm, 0, 1, seed=seed)
-        plan = materialize_staged(
-            staged, identity_portions(GEOMETRY, 2, 0), simple_io=True
-        )
+        plan = plan_distribution_sort(
+            GEOMETRY, perm, np.arange(GEOMETRY.N), 0, 1, seed=seed
+        ).io_plan
         return [
             tuple(int(b) for b in step.block_ids)
             for p in plan.passes

@@ -10,6 +10,7 @@ the frontend's own head reader must keep every one of them.
 import io
 import json
 import socket
+import types
 from http.server import BaseHTTPRequestHandler
 
 import pytest
@@ -183,6 +184,35 @@ class TestRequestLine:
             assert conn.at_eof()
         finally:
             conn.close()
+
+
+class TestCounting:
+    def test_every_answer_before_dispatch_is_counted_once(self, fe):
+        """A refused request line (400, 505), an over-long request line
+        (414) or field line (431) and an unknown method (501) are each
+        counted once, under fixed labels, beside a routed GET."""
+        heads = [
+            b"GET / HTTP/1.x\r\n\r\n",
+            b"GET / HTTP/2.0\r\n\r\n",
+            b"GET /" + b"a" * (65537 - 5),
+            b"GET /healthz HTTP/1.1\r\n" + b"X" * 65537,
+            b"BREW /healthz HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        ]
+        for head in heads:
+            _exchange(fe, head)
+        _, _, body = _exchange(
+            fe, b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        samples = [
+            line for line in body.decode().splitlines()
+            if line.startswith("repro_http_requests_total{")
+        ]
+        unrouted = 'repro_http_requests_total{method="*invalid*",path="*unrouted*"'
+        assert sorted(samples) == sorted(
+            [f'{unrouted},status="{code}"}} 1' for code in (400, 414, 431, 501, 505)]
+            + ['repro_http_requests_total{method="GET",path="/healthz",status="200"} 1']
+        )
 
 
 # --------------------------------------------------------------------------
@@ -405,6 +435,10 @@ FIELD_NAMES = [
 def _parsed(parse, head: bytes):
     """Run one ``parse_request`` on a socketless handler."""
     handler = _Handler.__new__(_Handler)
+    # send_error counts its answer on the frontend's metrics
+    handler.server = types.SimpleNamespace(
+        frontend=types.SimpleNamespace(metrics=ServiceMetrics())
+    )
     line, _, rest = head.partition(b"\n")
     handler.raw_requestline = line + b"\n"
     handler.rfile = io.BytesIO(rest)

@@ -186,6 +186,27 @@ class TestPermutationService:
         # no cache, so no compiled entry and no audit
         assert "compile" not in result.timings
 
+    @pytest.mark.parametrize(
+        "perm, method, ran",
+        [
+            ("random", "auto", "general"),
+            ("transpose", "distribution", "distribution"),
+            ("random-mld", "mld", "mld"),
+        ],
+    )
+    def test_every_planner_is_timed(self, geometry, perm, method, ran):
+        """Every planner's plan runs through ``cached_execute``, so the
+        sequential reference (no cache) and the service (its default
+        cache) both report ``plan`` and ``execute``."""
+        request = PermutationRequest(perm=perm, method=method)
+        (sequential,) = run_sequential(geometry, [request])
+        with PermutationService(geometry, workers=1) as service:
+            (served,) = service.run([request])
+        for result in (sequential, served):
+            assert result.ok and result.report.verified
+            assert result.report.method == ran
+            assert {"plan", "execute"} <= set(result.timings), result.timings
+
     def test_failed_plan_still_records_its_stage(self):
         """A request whose planner raises reports the time it spent in
         ``plan``, not only its queue wait."""

@@ -1,8 +1,11 @@
-"""Layering: the library layers never import the service layer.
+"""Layering: the library layers never import the service layer, and
+the planners run their plans in one place.
 
 ``repro.serve`` is built on ``bits``/``pdm``/``perms``/``core``; an
 import the other way (even a deferred one inside a function) makes the
-algorithms depend on the service that wraps them.
+algorithms depend on the service that wraps them.  Every planner's plan
+runs through ``repro.pdm.cache.cached_execute``, which times it; only
+detection calls the engine directly, because it needs ``capture=True``.
 """
 
 import ast
@@ -43,3 +46,16 @@ def test_library_layers_never_import_serve():
                 if module == "repro.serve" or module.startswith("repro.serve."):
                     offenders.append(f"{path.relative_to(root)}:{lineno} imports {module}")
     assert not offenders, "library layer imports repro.serve:\n" + "\n".join(offenders)
+
+
+def test_core_runs_plans_only_through_cached_execute():
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted((root / "core").rglob("*.py")):
+        if path.name == "detect.py":
+            continue
+        package = ".".join(("repro",) + path.relative_to(root).parent.parts)
+        for lineno, module in _imported_modules(path, package):
+            if module.rsplit(".", 1)[-1] == "execute_plan":
+                offenders.append(f"{path.relative_to(root)}:{lineno} imports {module}")
+    assert not offenders, "core module runs a plan itself:\n" + "\n".join(offenders)
