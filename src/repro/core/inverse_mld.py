@@ -12,6 +12,13 @@ This extends the paper's one-pass catalog: MRC (striped/striped), MLD
 (striped/independent), inverse-MLD (independent/striped).  Both
 algorithms here are planners emitting :class:`~repro.pdm.schedule.IOPlan`
 objects; the ``perform_*`` wrappers execute them under either engine.
+
+The inverse-MLD plan is the MLD plan's mirror image, read off the
+forward image in bulk with no loop over memoryloads: each source block
+is keyed by the target memoryload its records go to and by its disk,
+one stable sort of the keys groups each round's independent reads by
+disk, and one row scatter gives the striped writes' slots.  The
+in-flight Lemma 13 and property-3 assertions run on those keys.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import numpy as np
 from repro.bits import linalg
 from repro.bits.colops import is_mld_form
 from repro.bits.matrix import BitMatrix
+from repro.core.mld_algorithm import memoryload_blocks
 from repro.errors import NotInClassError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
 from repro.pdm.geometry import DiskGeometry
@@ -101,37 +109,33 @@ def plan_inverse_mld_pass(
     g = geometry
     if check_class:
         require_inverse_mld(perm, g.b, g.m)
-    inverse_image = perm.inverse().target_vector()
-    blocks_per_ml = g.blocks_per_memoryload
-    reads_per_ml = g.stripes_per_memoryload
+    rounds = g.num_memoryloads
+    per = g.stripes_per_memoryload
+    # Row k holds the targets of source block k's B records.  Round t
+    # reads target memoryload t's source blocks with independent reads;
+    # ``offsets[t, s]`` is where stream slot s's record goes in target
+    # memoryload t.
+    read_ids, offsets = memoryload_blocks(
+        g,
+        perm.target_vector().reshape(g.num_blocks, g.B),
+        "target memoryload does not gather from full source "
+        "blocks; the inverse kernel condition is violated",
+        "source blocks not spread evenly over disks",
+    )
+    # Striped writes put target memoryload t down in address order, so
+    # its j-th record comes from the slot s with offsets[t, s] == j.
+    slots = np.empty_like(offsets)
+    np.put_along_axis(slots, offsets, np.arange(g.M, dtype=np.int64)[None, :], axis=1)
+    del offsets  # before the builder makes the write-source column
     builder = PlanBuilder(g)
     builder.begin_pass(label)
-    for ml in range(g.num_memoryloads):
-        sources = inverse_image[ml * g.M : (ml + 1) * g.M]
-        order = np.argsort(sources)
-        sorted_sources = sources[order]
-
-        per_block = sorted_sources.reshape(blocks_per_ml, g.B)
-        block_ids = per_block[:, 0] >> g.b
-        if not (per_block >> g.b == block_ids[:, None]).all():
-            raise NotInClassError(
-                "target memoryload does not gather from full source "
-                "blocks; the inverse kernel condition is violated"
-            )
-        disks = g.block_disk(block_ids)
-        if not (np.bincount(disks, minlength=g.D) == reads_per_ml).all():
-            raise NotInClassError("source blocks not spread evenly over disks")
-
-        # Independent reads: one block per disk per parallel read.
-        disk_order = np.argsort(disks, kind="stable")
-        grouped = block_ids[disk_order].reshape(g.D, reads_per_ml)
-        slot_parts = [builder.read(source_portion, grouped[:, i]) for i in range(reads_per_ml)]
-        read_order_ids = grouped.T.reshape(-1)
-        slot_of = _slot_of_block(g, read_order_ids, np.concatenate(slot_parts))
-
-        # ``sources`` is aligned to ascending target addresses, so the
-        # slot permutation below *is* the in-memory rearrangement.
-        builder.write_memoryload(target_portion, ml, slot_of(sources))
+    builder.memoryload_rounds(
+        source_portion,
+        target_portion,
+        np.arange(g.num_blocks, dtype=np.int64).reshape(rounds, per, g.D),
+        slots.reshape(rounds, per, g.D * g.B),
+        read_ids=read_ids,
+    )
     return builder.build()
 
 

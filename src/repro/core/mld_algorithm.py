@@ -10,6 +10,14 @@ The planner *asserts* the three properties as it builds the plan --
 planning a random MLD instance is an executable proof of Theorem 15,
 and handing it a non-MLD matrix fails loudly (before any I/O) rather
 than silently scattering records.
+
+The plan is read off the inverse image in bulk, with no per-memoryload
+sort or loop (:func:`memoryload_blocks`): each target block is keyed by
+the source memoryload its records come from and by its disk, one
+stable sort of the ``N/B`` keys orders every memoryload's target blocks
+by disk and id, and one row gather of the inverse image gives the write
+slots.  The assertions run on those keys, and the first memoryload that
+fails names the broken property, clustering before evenness.
 """
 
 from __future__ import annotations
@@ -25,6 +33,51 @@ from repro.perms.bmmc import BMMCPermutation
 from repro.perms.mld import require_mld
 
 __all__ = ["plan_mld_pass", "perform_mld_pass"]
+
+
+def memoryload_blocks(
+    g: DiskGeometry,
+    rows: np.ndarray,
+    clustering_error: str,
+    evenness_error: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the ``N/B`` blocks into memoryload rounds, ``D`` per step.
+
+    ``rows[k]`` holds the ``B`` addresses that block ``k``'s records
+    pair with: for MLD the sources of target block ``k``, for inverse
+    MLD the targets of source block ``k``.  Block ``k`` is keyed by the
+    memoryload of ``rows[k, 0]`` and by its disk, and one stable sort of
+    the keys orders the blocks by (memoryload, disk, block id).
+
+    Returns ``(ids, stream)``.  ``ids[r, i, j]`` is the ``i``-th block,
+    by id, on disk ``j`` among round ``r``'s blocks; read or written
+    ``D`` at a time, ``ids[r, i]`` is one parallel I/O.  ``stream[r]``
+    is the ``M`` addresses those blocks pair with, in that block order,
+    each counted from memoryload ``r``'s first address.
+
+    Lemma 13 (every memoryload pairs with exactly ``M/B`` full blocks)
+    and property 3 (``M/BD`` of them per disk) are asserted here.  The
+    first memoryload that fails raises :class:`NotInClassError`, with
+    ``clustering_error`` if its records share a block with another
+    memoryload's and with ``evenness_error`` otherwise.
+    """
+    rounds = g.num_memoryloads
+    per = g.stripes_per_memoryload
+    home = rows[:, 0] >> g.m
+    keys = home * g.D + g.block_disk(np.arange(g.num_blocks, dtype=np.int64))
+    ids = np.argsort(keys, kind="stable").reshape(rounds, g.D, per).transpose(0, 2, 1)
+    stream = rows[ids].reshape(rounds, g.M)
+    stream -= (np.arange(rounds, dtype=np.int64) << g.m)[:, None]
+    counts = np.bincount(keys, minlength=rounds * g.D).reshape(rounds, g.D)
+    # With even counts, round r holds exactly the blocks keyed r, so a
+    # stream address outside [0, M) is a block that straddles memoryloads.
+    if (counts != per).any() or stream.min() < 0 or stream.max() >= g.M:
+        straddles = ((rows >> g.m) != home[:, None]).any(axis=1)
+        scattered = np.zeros(rounds, dtype=bool)
+        scattered[rows[straddles] >> g.m] = True
+        first = int(np.argmax(scattered | (counts != per).any(axis=1)))
+        raise NotInClassError(clustering_error if scattered[first] else evenness_error)
+    return ids, stream
 
 
 def plan_mld_pass(
@@ -44,58 +97,23 @@ def plan_mld_pass(
     g = geometry
     if check_class:
         require_mld(perm, g.b, g.m)
-    blocks_per_ml = g.blocks_per_memoryload  # M/B
-    writes_per_ml = g.stripes_per_memoryload  # M/BD
-    rounds = g.num_memoryloads
-    # One row per source memoryload: row ml holds the targets of the M
-    # records its striped reads bring in, slot by slot.
-    targets = perm.target_vector().reshape(rounds, g.M)
-    order = np.argsort(targets, axis=1)
-    per_block = np.take_along_axis(targets, order, axis=1).reshape(
-        rounds, blocks_per_ml, g.B
+    # Row k holds the sources of target block k's B records.  Round ml
+    # reads source memoryload ml with striped reads, so a record's slot
+    # is its source address counted from the memoryload's first.
+    write_ids, slots = memoryload_blocks(
+        g,
+        perm.inverse().target_vector().reshape(g.num_blocks, g.B),
+        "memoryload does not cluster into full target blocks; "
+        "the kernel condition (eq. 4) is violated",
+        "target blocks are not spread evenly over the disks",
     )
-    block_ids = per_block[:, :, 0] >> g.b
-
-    # Lemma 13: exactly M/B full target blocks.  Each row is sorted, so
-    # a group of B targets is one block when its first and last are, and
-    # the blocks are distinct when they strictly increase.  Property 3:
-    # M/BD blocks per disk.
-    clustered = ((per_block[:, :, -1] >> g.b) == block_ids).all(axis=1)
-    distinct = (np.diff(block_ids, axis=1) != 0).all(axis=1)
-    disks = g.block_disk(block_ids)
-    per_disk = np.bincount(
-        (disks + g.D * np.arange(rounds)[:, None]).reshape(-1),
-        minlength=rounds * g.D,
-    ).reshape(rounds, g.D)
-    even = (per_disk == writes_per_ml).all(axis=1)
-    bad = ~(clustered & distinct & even)
-    if bad.any():
-        ml = int(np.argmax(bad))  # the first memoryload that fails
-        if not clustered[ml]:
-            raise NotInClassError(
-                "memoryload does not cluster into full target blocks; "
-                "the kernel condition (eq. 4) is violated"
-            )
-        if not distinct[ml]:
-            raise NotInClassError("duplicate target blocks within a memoryload")
-        raise NotInClassError("target blocks are not spread evenly over the disks")
-
-    # Group blocks by disk and emit M/BD independent writes of D blocks
-    # each, one block per disk per write.
-    disk_order = np.argsort(disks, axis=1, kind="stable")
-    grouped_ids = np.take_along_axis(block_ids, disk_order, axis=1).reshape(
-        rounds, g.D, writes_per_ml
-    )
-    grouped_slots = np.take_along_axis(
-        order.reshape(rounds, blocks_per_ml, g.B), disk_order[:, :, None], axis=1
-    ).reshape(rounds, g.D, writes_per_ml, g.B)
     builder = PlanBuilder(g)
     builder.begin_pass(label)
     builder.memoryload_rounds(
         source_portion,
         target_portion,
-        grouped_ids.transpose(0, 2, 1),
-        grouped_slots.transpose(0, 2, 1, 3).reshape(rounds, writes_per_ml, g.D * g.B),
+        write_ids,
+        slots.reshape(g.num_memoryloads, g.stripes_per_memoryload, g.D * g.B),
     )
     return builder.build()
 

@@ -7,7 +7,11 @@ pass costs exactly ``2N/BD`` parallel I/Os, all striped.
 
 Planning is pure: :func:`plan_mrc_pass` turns the permutation into an
 :class:`~repro.pdm.schedule.IOPlan` without touching a simulator;
-:func:`perform_mrc_pass` executes that plan under either engine.
+:func:`perform_mrc_pass` executes that plan under either engine.  The
+plan is read off the inverse image in bulk: if source memoryload ``ml``
+lands in target memoryload ``t``, its ``j``-th write slot is
+``A^-1(t*M + j) - ml*M``, one row of the inverse image, so no
+memoryload's targets are sorted.
 """
 
 from __future__ import annotations
@@ -41,15 +45,24 @@ def plan_mrc_pass(
     require_mrc(perm, g.m)
     rounds = g.num_memoryloads
     per = g.stripes_per_memoryload
-    # One row per source memoryload, slot by slot.
-    targets = perm.target_vector().reshape(rounds, g.M)
-    target_ml = targets.min(axis=1) >> g.m
-    # MRC guarantee: each whole memoryload lands in one memoryload.
-    if ((targets.max(axis=1) >> g.m) != target_ml).any():
+    # One row per target memoryload: row t holds the sources of its M
+    # records, in target address order.
+    sources = perm.inverse().target_vector().reshape(rounds, g.M)
+    source_ml = sources.min(axis=1) >> g.m
+    # MRC guarantee: each whole memoryload lands in one memoryload, so
+    # each target memoryload gathers from one.
+    if ((sources.max(axis=1) >> g.m) != source_ml).any():
         raise NotInClassError(
             "memoryload scattered across target memoryloads; "
             "matrix is not MRC despite passing the form check"
         )
+    target_ml = np.empty(rounds, dtype=np.int64)
+    target_ml[source_ml] = np.arange(rounds)
+    # Source memoryload ml's j-th write slot is the source of its target
+    # memoryload's j-th record, counted from the memoryload's first.
+    slots = sources[target_ml]
+    del sources  # before the builder makes the write-source column
+    slots -= (np.arange(rounds, dtype=np.int64) << g.m)[:, None]
     stripes = target_ml[:, None] * per + np.arange(per)
     builder = PlanBuilder(g)
     builder.begin_pass(label)
@@ -57,7 +70,7 @@ def plan_mrc_pass(
         source_portion,
         target_portion,
         (stripes[:, :, None] << g.d) + np.arange(g.D),
-        np.argsort(targets, axis=1).reshape(rounds, per, g.records_per_stripe),
+        slots.reshape(rounds, per, g.records_per_stripe),
     )
     return builder.build()
 

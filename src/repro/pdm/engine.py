@@ -534,67 +534,80 @@ def _execute_strict(
     budget, the buffer holds only the live chunk, not the whole pass.
     ``capture=True`` needs whole streams and disables streaming, as in
     fast mode.
+
+    Each step is replayed from the pass's columns: its block ids and
+    write sources are slices at the fused pass's cumulative offsets, so
+    no :class:`~repro.pdm.schedule.IOStep` list is built or kept.
     """
     g = system.geometry
+    B = g.B
     budget = None if capture else _stream_budget(stream_records)
     report = ExecReport(engine="strict", streams=[] if capture else None)
     for pas in plan.passes:
         checkpoint("pass", pas.label)
-        pass_records = pas.num_read_blocks * g.B
-        if budget is not None and pass_records > budget and pas.num_steps > 1:
-            fused = _fuse_pass(g, pas)
-            segments = _liveness_segments(fused, budget)
+        f = _fuse_pass(g, pas)
+        if f.write_source.size != f.write_rec_cum[-1]:
+            raise ValidationError(
+                f"pass {pas.label!r}: write sources must name B={B} slots "
+                "per written block"
+            )
+        if budget is not None and f.stream_records > budget and f.num_steps > 1:
+            segments = _liveness_segments(f, budget)
         else:
-            fused = None
-            segments = [(0, pas.num_steps)]
+            segments = [(0, f.num_steps)]
         if len(segments) > 1:
             report.streamed_passes += 1
-        steps = pas.steps
+        is_read = f.is_read.tolist()
+        read_rec, write_rec = f.read_rec_cum.tolist(), f.write_rec_cum.tolist()
+        read_portions, write_portions = f.read_portions.tolist(), f.write_portions.tolist()
+        consume = np.where(f.read_consume_default, None, f.read_consume_value).tolist()
+        discard = f.read_discard.tolist()
         base = 0  # records read before the current segment
         system.stats.begin_pass(pas.label)
         try:
             for s0, s1 in segments:
                 if s0:
                     checkpoint("shard", pas.label)
-                if fused is None:
-                    chunk = pass_records
-                else:
-                    chunk = int(
-                        fused.read_rec_cum[fused.read_before[s1]]
-                        - fused.read_rec_cum[fused.read_before[s0]]
-                    )
+                r, w = int(f.read_before[s0]), int(f.write_before[s0])
+                chunk = read_rec[int(f.read_before[s1])] - read_rec[r]
                 stream = np.empty(chunk, dtype=system.dtype)
                 report.host_peak_records = max(report.host_peak_records, chunk)
                 cursor = 0
-                for step in steps[s0:s1]:
-                    if step.kind == "read":
+                for i in range(s0, s1):
+                    if is_read[i]:
+                        lo, hi = read_rec[r], read_rec[r + 1]
                         values = system.read_blocks(
-                            step.portion, step.block_ids, consume=step.consume
+                            read_portions[r], f.read_ids[lo // B : hi // B],
+                            consume=consume[r],
                         )
                         stream[cursor : cursor + values.size] = values.reshape(-1)
                         cursor += values.size
-                        if step.discard:
+                        if discard[r]:
                             system.memory.release(values.size)
+                        r += 1
                     else:
-                        if step.source.size and (
-                            int(step.source.min()) < base
-                            or int(step.source.max()) >= base + cursor
+                        lo, hi = write_rec[w], write_rec[w + 1]
+                        source = f.write_source[lo:hi]
+                        if source.size and (
+                            int(source.min()) < base
+                            or int(source.max()) >= base + cursor
                         ):
                             raise PlanError(
                                 f"pass {pas.label!r}: write sources slots outside "
                                 f"the records read so far ([{base}, {base + cursor}))"
                             )
                         system.write_blocks(
-                            step.portion,
-                            step.block_ids,
-                            stream[step.source - base].reshape(step.num_blocks, g.B),
+                            write_portions[w],
+                            f.write_ids[lo // B : hi // B],
+                            stream[source - base].reshape(-1, B),
                         )
+                        w += 1
                 base += cursor
         finally:
             system.stats.end_pass()
         if capture:
             report.streams.append(stream)
-        # Free this pass's buffer before the next pass builds its steps.
+        # Free this pass's buffer before the next pass starts.
         del stream
     return report
 

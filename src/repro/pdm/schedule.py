@@ -23,8 +23,11 @@ their step list (:class:`PassColumns`): one concatenated numpy array per
 step field, accumulated while the plan is being built.  The fast engine
 fuses a pass directly from these arrays -- no per-step Python loop, no
 re-concatenation -- which removes most of the one-time "cold start" cost
-the first fused execution used to pay.  The :class:`IOStep` list is
-materialized lazily, only when something (the strict engine, a test, a
+the first fused execution used to pay.  A built pass's write-source
+column, its one ``N``-entry array, is mapped outside the malloc heap
+(:func:`_mapped_empty`).  The strict engine replays each step from
+slices of the same columns.  The :class:`IOStep` list is
+materialized lazily, only when something (a test, a hand-built pass, a
 repr) actually iterates steps.
 
 This mirrors how external-memory schedules are treated as first-class
@@ -34,6 +37,7 @@ schedules, arXiv:1807.11328).
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +49,31 @@ __all__ = ["IOStep", "PlanPass", "PassColumns", "IOPlan", "PlanBuilder"]
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_BOOL = np.zeros(0, dtype=bool)
+
+#: Private anonymous mappings, prefaulted in one call where the platform
+#: can (every page is written at once); elsewhere ``mmap.mmap(-1, n)`` is
+#: anonymous already.
+_MAP_FLAGS = (
+    {"flags": mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)}
+    if hasattr(mmap, "MAP_PRIVATE")
+    else {}
+)
+
+
+def _mapped_empty(size: int) -> np.ndarray:
+    """An uninitialized int64 array in an anonymous memory map of its own.
+
+    A built pass's write-source column is its one ``N``-entry array, and
+    it lives exactly as long as the plan.  Outside the malloc heap it
+    goes back to the OS when the plan is dropped, and it never sits
+    above the heap memory a cold request frees: with glibc, a column
+    allocated there kept the freed planning and execution temporaries
+    below it from being returned, and a cached plan's long-lived pull
+    from filling them.
+    """
+    if size == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.frombuffer(mmap.mmap(-1, size * 8, **_MAP_FLAGS), dtype=np.int64)
 
 
 class IOStep:
@@ -485,63 +514,92 @@ class IOPlan:
         return f"IOPlan(passes={self.num_passes}, steps={self.num_steps})"
 
 
-class _PassAccumulator:
-    """Per-pass columnar accumulation state inside :class:`PlanBuilder`.
+class _Column:
+    """One column of a pass under construction.
 
-    Block ids and write sources accumulate as chunks that may span many
-    steps (:meth:`PlanBuilder.memoryload_rounds` adds a whole pass in
-    one chunk each); the per-step sizes say where the steps split.
+    Step-by-step calls queue one value each (a scalar, or a small array
+    for the ragged id and source columns); bulk calls add a whole array.
+    Queued values are joined into one array when a bulk array arrives
+    and when the pass is built, so the parts stay in step order and a
+    pass built in bulk joins a few arrays, not one value per step.
     """
 
-    __slots__ = (
-        "label", "kinds", "sizes",
-        "read_ids", "read_sizes", "read_portions",
-        "consume_default", "consume_value", "discard",
-        "write_ids", "write_sizes", "write_portions", "write_sources",
-        "built",
-    )
+    __slots__ = ("dtype", "ragged", "mapped", "parts", "queued")
+
+    def __init__(self, dtype, ragged: bool = False, mapped: bool = False) -> None:
+        self.dtype = dtype
+        self.ragged = ragged
+        self.mapped = mapped  # joined arrays go to _mapped_empty
+        self.parts: list[np.ndarray] = []
+        self.queued: list = []
+
+    def _join(self, arrays: list[np.ndarray]) -> np.ndarray:
+        if not self.mapped:
+            return np.concatenate(arrays)
+        return np.concatenate(arrays, out=_mapped_empty(sum(a.size for a in arrays)))
+
+    def _join_queued(self) -> None:
+        if self.queued:
+            self.parts.append(
+                self._join(self.queued)
+                if self.ragged
+                else np.asarray(self.queued, dtype=self.dtype)
+            )
+            self.queued = []
+
+    def add_array(self, values: np.ndarray) -> None:
+        """Append a whole array the caller hands over (not copied)."""
+        self._join_queued()
+        self.parts.append(values)
+
+    def array(self) -> np.ndarray:
+        self._join_queued()
+        if len(self.parts) > 1:
+            self.parts = [self._join(self.parts)]
+        return self.parts[0] if self.parts else np.zeros(0, dtype=self.dtype)
+
+
+#: Each :class:`PassColumns` array field: its dtype, whether a step adds
+#: an array to it (block ids, write sources) rather than one value, and
+#: whether the built column is mapped (:func:`_mapped_empty`).
+_FIELDS = {
+    "is_read": (bool, False, False),
+    "step_sizes": (np.int64, False, False),
+    "read_ids": (np.int64, True, False),
+    "read_sizes": (np.int64, False, False),
+    "read_portions": (np.int64, False, False),
+    "read_consume_default": (bool, False, False),
+    "read_consume_value": (bool, False, False),
+    "read_discard": (bool, False, False),
+    "write_ids": (np.int64, True, False),
+    "write_sizes": (np.int64, False, False),
+    "write_portions": (np.int64, False, False),
+    "write_source": (np.int64, True, True),
+}
+
+
+class _PassAccumulator:
+    """Per-pass columnar accumulation state inside :class:`PlanBuilder`:
+    one :class:`_Column` per :class:`PassColumns` array field, under the
+    field's name."""
+
+    __slots__ = ("label", "num_steps", "built", *_FIELDS)
 
     def __init__(self, label: str) -> None:
         self.label = label
-        self.kinds: list[bool] = []
-        self.sizes: list[int] = []
-        self.read_ids: list[np.ndarray] = []
-        self.read_sizes: list[int] = []
-        self.read_portions: list[int] = []
-        self.consume_default: list[bool] = []
-        self.consume_value: list[bool] = []
-        self.discard: list[bool] = []
-        self.write_ids: list[np.ndarray] = []
-        self.write_sizes: list[int] = []
-        self.write_portions: list[int] = []
-        self.write_sources: list[np.ndarray] = []
+        self.num_steps = 0
         self.built: PlanPass | None = None
+        for name, (dtype, ragged, mapped) in _FIELDS.items():
+            setattr(self, name, _Column(dtype, ragged, mapped))
 
     def to_pass(self) -> PlanPass:
-        if self.built is not None:
-            return self.built
-        c = PassColumns.empty()
-        c.num_steps = len(self.kinds)
-        if c.num_steps:
-            c.is_read = np.asarray(self.kinds, dtype=bool)
-            c.step_sizes = np.asarray(self.sizes, dtype=np.int64)
-            c.read_ids = (
-                np.concatenate(self.read_ids) if self.read_ids else _EMPTY_I64
-            )
-            c.read_sizes = np.asarray(self.read_sizes, dtype=np.int64)
-            c.read_portions = np.asarray(self.read_portions, dtype=np.int64)
-            c.read_consume_default = np.asarray(self.consume_default, dtype=bool)
-            c.read_consume_value = np.asarray(self.consume_value, dtype=bool)
-            c.read_discard = np.asarray(self.discard, dtype=bool)
-            c.write_ids = (
-                np.concatenate(self.write_ids) if self.write_ids else _EMPTY_I64
-            )
-            c.write_sizes = np.asarray(self.write_sizes, dtype=np.int64)
-            c.write_portions = np.asarray(self.write_portions, dtype=np.int64)
-            c.write_source = (
-                np.concatenate(self.write_sources) if self.write_sources else _EMPTY_I64
-            )
-        self.built = PlanPass._from_columns(self.label, c)
+        if self.built is None:
+            c = PassColumns.empty()
+            c.num_steps = self.num_steps
+            if c.num_steps:
+                for name in _FIELDS:
+                    setattr(c, name, getattr(self, name).array())
+            self.built = PlanPass._from_columns(self.label, c)
         return self.built
 
 
@@ -588,14 +646,15 @@ class PlanBuilder:
         """Plan one parallel read; returns the slots its records occupy."""
         acc = self._require_pass()
         ids = np.asarray(block_ids, dtype=np.int64)
-        acc.kinds.append(True)
-        acc.sizes.append(ids.size)
-        acc.read_ids.append(ids)
-        acc.read_sizes.append(ids.size)
-        acc.read_portions.append(int(portion))
-        acc.consume_default.append(consume is None)
-        acc.consume_value.append(bool(consume))
-        acc.discard.append(bool(discard))
+        acc.is_read.queued.append(True)
+        acc.step_sizes.queued.append(ids.size)
+        acc.read_ids.queued.append(ids)
+        acc.read_sizes.queued.append(ids.size)
+        acc.read_portions.queued.append(int(portion))
+        acc.read_consume_default.queued.append(consume is None)
+        acc.read_consume_value.queued.append(bool(consume))
+        acc.read_discard.queued.append(bool(discard))
+        acc.num_steps += 1
         acc.built = None
         slots = np.arange(
             self._cursor, self._cursor + ids.size * self.geometry.B, dtype=np.int64
@@ -626,12 +685,13 @@ class PlanBuilder:
                 f"[0, {self._cursor}), got range "
                 f"[{source.min()}, {source.max()}]"
             )
-        acc.kinds.append(False)
-        acc.sizes.append(ids.size)
-        acc.write_ids.append(ids)
-        acc.write_sizes.append(ids.size)
-        acc.write_portions.append(int(portion))
-        acc.write_sources.append(source)
+        acc.is_read.queued.append(False)
+        acc.step_sizes.queued.append(ids.size)
+        acc.write_ids.queued.append(ids)
+        acc.write_sizes.queued.append(ids.size)
+        acc.write_portions.queued.append(int(portion))
+        acc.write_source.queued.append(source)
+        acc.num_steps += 1
         acc.built = None
 
     # --------------------------------------------------------- striped sugar
@@ -674,21 +734,26 @@ class PlanBuilder:
         write_portion: int,
         write_ids: np.ndarray,
         write_sources: np.ndarray,
+        read_ids: np.ndarray | None = None,
     ) -> None:
-        """Plan one round per memoryload of ``portion``, in memoryload
-        order: its ``M/BD`` striped reads, then its writes.
+        """Plan one round per memoryload, in round order: the round's
+        ``M/BD`` parallel reads of ``portion``, then its writes.
 
-        ``write_ids[ml, i]`` are the blocks of round ``ml``'s ``i``-th
-        parallel write to ``write_portion``, and ``write_sources[ml, i]``
-        the slots they take, counted from the round's first read slot
-        (so in ``[0, M)``).  The steps are those that
-        :meth:`read_memoryload` followed by :meth:`write` per round would
-        add, appended without a Python loop over the rounds.
+        ``read_ids[r, i]`` are the ``D`` blocks of round ``r``'s ``i``-th
+        parallel read; omitted, round ``r`` reads memoryload ``r`` with
+        striped reads.  ``write_ids[r, i]`` are the blocks of round
+        ``r``'s ``i``-th parallel write to ``write_portion``, and
+        ``write_sources[r, i]`` the slots they take, counted from the
+        round's first read slot (so in ``[0, M)``).  The steps are those
+        that per-round :meth:`read` (or :meth:`read_memoryload`) and
+        :meth:`write` calls would add; every column is appended as one
+        array, with no Python loop over the rounds.
         """
         acc = self._require_pass()
         g = self.geometry
         rounds = g.num_memoryloads
-        ids = np.asarray(write_ids, dtype=np.int64)
+        reads = g.stripes_per_memoryload
+        ids = np.array(write_ids, dtype=np.int64)  # a copy: the pass keeps it
         sources = np.asarray(write_sources, dtype=np.int64)
         if ids.ndim != 3 or ids.shape[0] != rounds:
             raise ValidationError(
@@ -706,20 +771,35 @@ class PlanBuilder:
                 "write sources must lie in the round's read slots "
                 f"[0, {g.M}), got range [{sources.min()}, {sources.max()}]"
             )
-        reads = g.stripes_per_memoryload
-        acc.kinds.extend(([True] * reads + [False] * k) * rounds)
-        acc.sizes.extend(([g.D] * reads + [width] * k) * rounds)
-        acc.read_ids.append(np.arange(g.num_blocks, dtype=np.int64))
-        acc.read_sizes.extend([g.D] * (reads * rounds))
-        acc.read_portions.extend([int(portion)] * (reads * rounds))
-        acc.consume_default.extend([True] * (reads * rounds))
-        acc.consume_value.extend([False] * (reads * rounds))
-        acc.discard.extend([False] * (reads * rounds))
-        acc.write_ids.append(ids.reshape(-1))
-        acc.write_sizes.extend([width] * (k * rounds))
-        acc.write_portions.extend([int(write_portion)] * (k * rounds))
+        if read_ids is None:
+            read_ids = np.arange(g.num_blocks, dtype=np.int64)
+        else:
+            read_ids = np.array(read_ids, dtype=np.int64)
+            if read_ids.shape != (rounds, reads, g.D):
+                raise ValidationError(
+                    f"memoryload rounds expect read ids of shape "
+                    f"{(rounds, reads, g.D)}, got {read_ids.shape}"
+                )
+        round_kinds = np.zeros(reads + k, dtype=bool)
+        round_kinds[:reads] = True
+        round_sizes = np.full(reads + k, width, dtype=np.int64)
+        round_sizes[:reads] = g.D
+        acc.is_read.add_array(np.tile(round_kinds, rounds))
+        acc.step_sizes.add_array(np.tile(round_sizes, rounds))
+        acc.read_ids.add_array(read_ids.reshape(-1))
+        acc.read_sizes.add_array(np.full(reads * rounds, g.D, dtype=np.int64))
+        acc.read_portions.add_array(np.full(reads * rounds, portion, dtype=np.int64))
+        acc.read_consume_default.add_array(np.ones(reads * rounds, dtype=bool))
+        acc.read_consume_value.add_array(np.zeros(reads * rounds, dtype=bool))
+        acc.read_discard.add_array(np.zeros(reads * rounds, dtype=bool))
+        acc.write_ids.add_array(ids.reshape(-1))
+        acc.write_sizes.add_array(np.full(k * rounds, width, dtype=np.int64))
+        acc.write_portions.add_array(np.full(k * rounds, write_portion, dtype=np.int64))
         first_slot = self._cursor + g.M * np.arange(rounds, dtype=np.int64)
-        acc.write_sources.append((sources + first_slot[:, None, None]).reshape(-1))
+        column = _mapped_empty(sources.size)
+        np.add(sources, first_slot[:, None, None], out=column.reshape(sources.shape))
+        acc.write_source.add_array(column)
+        acc.num_steps += (reads + k) * rounds
         acc.built = None
         self._cursor += g.N
 

@@ -95,6 +95,10 @@ class ParallelDiskSystem:
         self.simple_io = simple_io
         self.dtype = np.dtype(dtype)
         self.empty = self.dtype.type(empty)
+        # A NaN sentinel equals nothing, itself included, so empty slots
+        # are found by isnan (of the real part, for complex payloads);
+        # any other sentinel by equality.
+        self._nan_empty = self.dtype.kind in "fc" and bool(np.isnan(self.empty.real))
         self.memory = Memory(geometry.M)
         self.stats = IOStats()
         self._data = np.full((portions, geometry.N), self.empty, dtype=self.dtype)
@@ -102,10 +106,8 @@ class ParallelDiskSystem:
         self._observers: list[Callable[[IOEvent], None]] = []
 
     def _is_empty(self, values: np.ndarray) -> np.ndarray:
-        if np.issubdtype(self.dtype, np.complexfloating) or np.issubdtype(
-            self.dtype, np.floating
-        ):
-            return np.isnan(values.real) if values.dtype.kind == "c" else np.isnan(values)
+        if self._nan_empty:
+            return np.isnan(values.real)
         return values == self.empty
 
     # -------------------------------------------------------------- contents

@@ -110,6 +110,43 @@ class TestFusedMetadata:
         assert np.shares_memory(f.write_source, pas.columns_if_fresh().write_source)
 
 
+class TestStrictReplay:
+    @pytest.mark.parametrize("stream_records", [None, 2**7], ids=["whole", "streamed"])
+    def test_replays_from_columns(self, geometry, stream_records):
+        """Strict replay slices each step out of the pass's columns: a
+        builder-made pass has no step list after it, and observers see
+        one event per step, as the step list names them."""
+        g = geometry
+        plan = reverse_plan(g)
+        s = fresh(g)
+        events = []
+        s.add_observer(events.append)
+        report = execute_plan(s, plan, engine="strict", stream_records=stream_records)
+        assert (report.streamed_passes == 1) == (stream_records is not None)
+        assert all(p._steps is None for p in plan.passes)
+        steps = plan.passes[0].steps  # built here, from the same columns
+        assert [(e.kind, e.portion, list(e.block_ids)) for e in events] == [
+            (st.kind, st.portion, list(st.block_ids)) for st in steps
+        ]
+        fast = fresh(g)
+        execute_plan(fast, plan, engine="fast")
+        assert (s.portion_values(1) == fast.portion_values(1)).all()
+        assert s.stats.snapshot() == fast.stats.snapshot()
+
+    def test_short_write_source_rejected_before_any_io(self, geometry):
+        """A hand-built write step naming fewer than B slots per block
+        would shift every later step's slice of the pass's columns."""
+        g = geometry
+        plan = IOPlan(g, [PlanPass("short", [
+            IOStep("read", 0, [0]),
+            IOStep("write", 1, [0], np.arange(g.B - 1)),
+        ])])
+        s = fresh(g)
+        with pytest.raises(ValidationError):
+            execute_plan(s, plan, engine="strict")
+        assert s.stats.parallel_ios == 0
+
+
 #: Rounds of :func:`split_plan`'s one pass.
 SPLIT_ROUNDS = 4
 

@@ -1,5 +1,7 @@
 """Tests for declarative I/O plans (:mod:`repro.pdm.schedule`)."""
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -80,30 +82,77 @@ class TestPlanBuilder:
 
     def test_memoryload_rounds_match_per_round_calls(self, geometry):
         """One ``memoryload_rounds`` call builds the same columns as
-        ``read_memoryload`` then ``write`` per round, after an earlier
-        read in the same pass too."""
+        per-round ``read_memoryload`` (or, given read ids, ``read``)
+        then ``write`` calls, after an earlier read in the same pass
+        too."""
         g = geometry
         rng = np.random.default_rng(7)
         rounds, k = g.num_memoryloads, g.stripes_per_memoryload
-        ids = rng.integers(0, g.num_blocks, size=(rounds, k, g.D))
-        sources = np.stack(
-            [rng.permutation(g.M).reshape(k, g.D * g.B) for _ in range(rounds)]
+        for independent in (False, True):
+            ids = rng.integers(0, g.num_blocks, size=(rounds, k, g.D))
+            sources = np.stack(
+                [rng.permutation(g.M).reshape(k, g.D * g.B) for _ in range(rounds)]
+            )
+            reads = (
+                rng.integers(0, g.num_blocks, size=(rounds, k, g.D))
+                if independent
+                else None
+            )
+            looped, bulk = PlanBuilder(g), PlanBuilder(g)
+            for b in (looped, bulk):
+                b.begin_pass("p")
+                b.read(2, [5])
+            for ml in range(rounds):
+                if independent:
+                    first = looped.read(0, reads[ml, 0])[0]
+                    for i in range(1, k):
+                        looped.read(0, reads[ml, i])
+                else:
+                    first = looped.read_memoryload(0, ml)[0]
+                for i in range(k):
+                    looped.write(1, ids[ml, i], first + sources[ml, i])
+            bulk.memoryload_rounds(0, 1, ids, sources, read_ids=reads)
+            a = looped.build().passes[0].columns_if_fresh()
+            c = bulk.build().passes[0].columns_if_fresh()
+            for name in a.__slots__:
+                x, y = getattr(a, name), getattr(c, name)
+                assert np.array_equal(x, y), (independent, name)
+                assert np.asarray(x).dtype == np.asarray(y).dtype, (independent, name)
+
+    def test_memoryload_rounds_keep_no_caller_array(self, geometry):
+        """The pass owns its block-id columns: changing the arrays handed
+        to ``memoryload_rounds`` afterwards changes nothing built."""
+        g = geometry
+        rounds, k = g.num_memoryloads, g.stripes_per_memoryload
+        ids = np.zeros((rounds, k, g.D), dtype=np.int64)
+        reads = np.zeros((rounds, k, g.D), dtype=np.int64)
+        sources = np.zeros((rounds, k, g.D * g.B), dtype=np.int64)
+        b = PlanBuilder(g)
+        b.begin_pass("p")
+        b.memoryload_rounds(0, 1, ids, sources, read_ids=reads)
+        c = b.build().passes[0].columns_if_fresh()
+        ids += 1
+        reads += 1
+        assert not c.write_ids.any() and not c.read_ids.any()
+
+    def test_write_source_column_has_its_own_mapping(self, geometry):
+        """A built pass's write-source column, made in bulk or step by
+        step, lives in a memory map of its own, outside the malloc heap,
+        so dropping the plan unmaps it."""
+        g = geometry
+        rounds, k = g.num_memoryloads, g.stripes_per_memoryload
+        bulk, looped = PlanBuilder(g), PlanBuilder(g)
+        bulk.begin_pass("bulk")
+        bulk.memoryload_rounds(
+            0, 1,
+            np.zeros((rounds, k, g.D), dtype=np.int64),
+            np.zeros((rounds, k, g.D * g.B), dtype=np.int64),
         )
-        looped, bulk = PlanBuilder(g), PlanBuilder(g)
-        for b in (looped, bulk):
-            b.begin_pass("p")
-            b.read(2, [5])
-        for ml in range(rounds):
-            first = looped.read_memoryload(0, ml)[0]
-            for i in range(k):
-                looped.write(1, ids[ml, i], first + sources[ml, i])
-        bulk.memoryload_rounds(0, 1, ids, sources)
-        a = looped.build().passes[0].columns_if_fresh()
-        c = bulk.build().passes[0].columns_if_fresh()
-        for name in a.__slots__:
-            x, y = getattr(a, name), getattr(c, name)
-            assert np.array_equal(x, y), name
-            assert np.asarray(x).dtype == np.asarray(y).dtype, name
+        looped.begin_pass("looped")
+        looped.write_memoryload(1, 0, looped.read_memoryload(0, 0))
+        for b in (bulk, looped):
+            column = b.build().passes[0].columns_if_fresh().write_source
+            assert isinstance(column.base.obj, mmap.mmap)
 
     def test_memoryload_rounds_shapes_checked(self, geometry):
         g = geometry
@@ -120,6 +169,15 @@ class TestPlanBuilder:
         ):
             with pytest.raises(ValidationError):
                 b.memoryload_rounds(0, 1, bad_ids, bad_sources)
+        for bad_reads in (
+            ids[1:],  # one round short
+            ids[:, 1:],  # one read short per round
+            ids[:, :, 1:],  # a block short per read
+            ids.reshape(rounds, -1),  # not one row per read
+        ):
+            with pytest.raises(ValidationError):
+                b.memoryload_rounds(0, 1, ids, sources, read_ids=bad_reads)
+        assert b.build().passes[0].num_steps == 0  # nothing was added
 
 
 class TestIOPlan:

@@ -136,6 +136,26 @@ class TestWriteBlocks:
             system.write_blocks(1, [0], np.zeros((1, 8)))
 
 
+class TestFloatSentinels:
+    """The empty test follows the sentinel, not the dtype: a NaN
+    sentinel is found by isnan, any other by equality."""
+
+    @pytest.mark.parametrize("empty", [np.nan, -1.0], ids=["nan", "minus-one"])
+    def test_empty_blocks_are_empty(self, empty):
+        g = DiskGeometry(N=1024, B=8, D=4, M=128)
+        s = ParallelDiskSystem(g, dtype=np.float64, empty=empty)
+        with pytest.raises(BlockStateError):
+            s.read_blocks(0, [0])  # never filled
+        s.fill_identity(0)
+        vals = s.read_blocks(0, [0, 1])
+        s.write_blocks(1, [0, 1], vals)  # portion 1 was built empty
+        assert (s.block_values(1, 1) == np.arange(8, 16)).all()
+        with pytest.raises(BlockStateError):
+            s.read_blocks(0, [0])  # consumed by the first read
+        with pytest.raises(BlockStateError):
+            s.write_blocks(1, [0], vals[:1])  # written above
+
+
 class TestStripedOps:
     def test_read_stripe_shape_and_order(self, system):
         vals = system.read_stripe(0, 1)
