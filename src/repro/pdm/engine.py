@@ -207,8 +207,10 @@ def _fuse_pass(g: DiskGeometry, pas: PlanPass) -> _FusedPass:
 
     Builder-produced passes carry a columnar twin of their step list,
     so fusing is pure array bookkeeping -- no per-step Python loop.
-    Hand-built passes take the slow path once (``_ensure_columns``).
-    Block ids are kept as the columns hold them; no record address is
+    Hand-built passes take the slow path once (``_ensure_columns``),
+    which rejects a write step that does not name ``B`` source slots per
+    block, so every engine and the audit slice the same columns.  Block
+    ids are kept as the columns hold them; no record address is
     derived here.
     """
     cols = pas.columns_if_fresh()
@@ -217,7 +219,7 @@ def _fuse_pass(g: DiskGeometry, pas: PlanPass) -> _FusedPass:
     if cached is not None and cached.num_steps == num_steps:
         return cached
     if cols is None or cols.num_steps != num_steps:
-        cols = pas._ensure_columns()
+        cols = pas._ensure_columns(g.B)
 
     B = g.B
     f = _FusedPass()
@@ -546,11 +548,6 @@ def _execute_strict(
     for pas in plan.passes:
         checkpoint("pass", pas.label)
         f = _fuse_pass(g, pas)
-        if f.write_source.size != f.write_rec_cum[-1]:
-            raise ValidationError(
-                f"pass {pas.label!r}: write sources must name B={B} slots "
-                "per written block"
-            )
         if budget is not None and f.stream_records > budget and f.num_steps > 1:
             segments = _liveness_segments(f, budget)
         else:

@@ -23,10 +23,10 @@ their step list (:class:`PassColumns`): one concatenated numpy array per
 step field, accumulated while the plan is being built.  The fast engine
 fuses a pass directly from these arrays -- no per-step Python loop, no
 re-concatenation -- which removes most of the one-time "cold start" cost
-the first fused execution used to pay.  A built pass's write-source
-column, its one ``N``-entry array, is mapped outside the malloc heap
-(:func:`_mapped_empty`).  The strict engine replays each step from
-slices of the same columns.  The :class:`IOStep` list is
+the first fused execution used to pay.  The write-source column that
+:meth:`PlanBuilder.memoryload_rounds` builds, a pass's one ``N``-entry
+array, is mapped outside the malloc heap (:func:`_mapped_empty`).  The
+strict engine replays each step from slices of the same columns.  The :class:`IOStep` list is
 materialized lazily, only when something (a test, a hand-built pass, a
 repr) actually iterates steps.
 
@@ -63,13 +63,13 @@ _MAP_FLAGS = (
 def _mapped_empty(size: int) -> np.ndarray:
     """An uninitialized int64 array in an anonymous memory map of its own.
 
-    A built pass's write-source column is its one ``N``-entry array, and
-    it lives exactly as long as the plan.  Outside the malloc heap it
-    goes back to the OS when the plan is dropped, and it never sits
-    above the heap memory a cold request frees: with glibc, a column
-    allocated there kept the freed planning and execution temporaries
-    below it from being returned, and a cached plan's long-lived pull
-    from filling them.
+    :meth:`PlanBuilder.memoryload_rounds` builds a pass's write-source
+    column, its one ``N``-entry array, in one; the column lives as long
+    as the plan.  Outside the malloc heap it goes back to the OS when
+    the plan is dropped, and it never sits above the heap memory a cold
+    request frees: with glibc, a column allocated there kept the freed
+    planning and execution temporaries below it from being returned,
+    and a cached plan's long-lived pull from filling them.
     """
     if size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -206,8 +206,13 @@ def _steps_from_columns(c: PassColumns) -> list[IOStep]:
     return steps
 
 
-def _columns_from_steps(steps: Sequence[IOStep]) -> PassColumns:
-    """Columnar form of an explicit step list (slow path, loops once)."""
+def _columns_from_steps(steps: Sequence[IOStep], B: int) -> PassColumns:
+    """Columnar form of an explicit step list (slow path, loops once).
+
+    The columns keep one run of write sources per pass, which the
+    engines split again at ``B`` slots per written block, so a write
+    step naming any other number of slots is rejected here.
+    """
     c = PassColumns.empty()
     c.num_steps = len(steps)
     if not steps:
@@ -228,12 +233,16 @@ def _columns_from_steps(steps: Sequence[IOStep]) -> PassColumns:
             consume_value.append(bool(step.consume))
             discard.append(step.discard)
         else:
+            source = step.source if step.source is not None else _EMPTY_I64
+            if source.size != step.num_blocks * B:
+                raise ValidationError(
+                    f"write step {i} names {source.size} source slots for "
+                    f"{step.num_blocks} blocks of B={B} records"
+                )
             write_ids.append(step.block_ids)
             write_sizes.append(step.num_blocks)
             write_portions.append(step.portion)
-            write_sources.append(
-                step.source if step.source is not None else _EMPTY_I64
-            )
+            write_sources.append(source)
     c.is_read = is_read
     c.step_sizes = step_sizes
     c.read_ids = np.concatenate(read_ids) if read_ids else _EMPTY_I64
@@ -302,10 +311,10 @@ class PlanPass:
             return None
         return c
 
-    def _ensure_columns(self) -> PassColumns:
+    def _ensure_columns(self, B: int) -> PassColumns:
         c = self.columns_if_fresh()
         if c is None:
-            c = _columns_from_steps(self.steps)
+            c = _columns_from_steps(self.steps, B)
             self._columns = c
         return c
 
@@ -342,7 +351,7 @@ class PlanPass:
 
 def _pass_block_keys(g: DiskGeometry, pas: PlanPass):
     """Portion-qualified (read_keys, write_keys) block sets of a pass."""
-    c = pas._ensure_columns()
+    c = pas._ensure_columns(g.B)
     rkeys = np.repeat(c.read_portions, c.read_sizes) * g.num_blocks + c.read_ids
     wkeys = np.repeat(c.write_portions, c.write_sizes) * g.num_blocks + c.write_ids
     return rkeys, wkeys
@@ -369,7 +378,7 @@ def _try_merge_passes(g: DiskGeometry, a: PlanPass, b: PlanPass) -> PlanPass | N
     touched_b = np.concatenate((rb, wb))
     if np.intersect1d(touched_a, touched_b).size:
         return None
-    ca, cb = a._ensure_columns(), b._ensure_columns()
+    ca, cb = a._ensure_columns(g.B), b._ensure_columns(g.B)
     offset = int(ca.read_sizes.sum()) * g.B
     merged = PassColumns.empty()
     merged.num_steps = ca.num_steps + cb.num_steps
@@ -482,7 +491,7 @@ class IOPlan:
         g = self.geometry
         offsets = np.arange(g.B, dtype=np.int64)[None, :]
         for pas in self.passes:
-            c = pas._ensure_columns()
+            c = pas._ensure_columns(g.B)
             read_addr = ((c.read_ids[:, None] << g.b) + offsets).reshape(-1)
             rec_rport = np.repeat(c.read_portions, c.read_sizes * g.B)
             stream = portions[rec_rport, read_addr]
@@ -524,24 +533,18 @@ class _Column:
     pass built in bulk joins a few arrays, not one value per step.
     """
 
-    __slots__ = ("dtype", "ragged", "mapped", "parts", "queued")
+    __slots__ = ("dtype", "ragged", "parts", "queued")
 
-    def __init__(self, dtype, ragged: bool = False, mapped: bool = False) -> None:
+    def __init__(self, dtype, ragged: bool = False) -> None:
         self.dtype = dtype
         self.ragged = ragged
-        self.mapped = mapped  # joined arrays go to _mapped_empty
         self.parts: list[np.ndarray] = []
         self.queued: list = []
-
-    def _join(self, arrays: list[np.ndarray]) -> np.ndarray:
-        if not self.mapped:
-            return np.concatenate(arrays)
-        return np.concatenate(arrays, out=_mapped_empty(sum(a.size for a in arrays)))
 
     def _join_queued(self) -> None:
         if self.queued:
             self.parts.append(
-                self._join(self.queued)
+                np.concatenate(self.queued)
                 if self.ragged
                 else np.asarray(self.queued, dtype=self.dtype)
             )
@@ -555,26 +558,25 @@ class _Column:
     def array(self) -> np.ndarray:
         self._join_queued()
         if len(self.parts) > 1:
-            self.parts = [self._join(self.parts)]
+            self.parts = [np.concatenate(self.parts)]
         return self.parts[0] if self.parts else np.zeros(0, dtype=self.dtype)
 
 
-#: Each :class:`PassColumns` array field: its dtype, whether a step adds
-#: an array to it (block ids, write sources) rather than one value, and
-#: whether the built column is mapped (:func:`_mapped_empty`).
+#: Each :class:`PassColumns` array field: its dtype, and whether a step
+#: adds an array to it (block ids, write sources) rather than one value.
 _FIELDS = {
-    "is_read": (bool, False, False),
-    "step_sizes": (np.int64, False, False),
-    "read_ids": (np.int64, True, False),
-    "read_sizes": (np.int64, False, False),
-    "read_portions": (np.int64, False, False),
-    "read_consume_default": (bool, False, False),
-    "read_consume_value": (bool, False, False),
-    "read_discard": (bool, False, False),
-    "write_ids": (np.int64, True, False),
-    "write_sizes": (np.int64, False, False),
-    "write_portions": (np.int64, False, False),
-    "write_source": (np.int64, True, True),
+    "is_read": (bool, False),
+    "step_sizes": (np.int64, False),
+    "read_ids": (np.int64, True),
+    "read_sizes": (np.int64, False),
+    "read_portions": (np.int64, False),
+    "read_consume_default": (bool, False),
+    "read_consume_value": (bool, False),
+    "read_discard": (bool, False),
+    "write_ids": (np.int64, True),
+    "write_sizes": (np.int64, False),
+    "write_portions": (np.int64, False),
+    "write_source": (np.int64, True),
 }
 
 
@@ -589,8 +591,8 @@ class _PassAccumulator:
         self.label = label
         self.num_steps = 0
         self.built: PlanPass | None = None
-        for name, (dtype, ragged, mapped) in _FIELDS.items():
-            setattr(self, name, _Column(dtype, ragged, mapped))
+        for name, (dtype, ragged) in _FIELDS.items():
+            setattr(self, name, _Column(dtype, ragged))
 
     def to_pass(self) -> PlanPass:
         if self.built is None:
@@ -747,7 +749,8 @@ class PlanBuilder:
         round's first read slot (so in ``[0, M)``).  The steps are those
         that per-round :meth:`read` (or :meth:`read_memoryload`) and
         :meth:`write` calls would add; every column is appended as one
-        array, with no Python loop over the rounds.
+        array, with no Python loop over the rounds, and the write sources
+        are computed into a memory map of their own (:func:`_mapped_empty`).
         """
         acc = self._require_pass()
         g = self.geometry

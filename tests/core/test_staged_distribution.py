@@ -128,7 +128,7 @@ class TestSeedDeterminism:
         plan = plan_distribution_sort(g, perm, np.arange(g.N), seed=seed).io_plan
         schedule = []
         for pas in plan.passes:
-            c = pas._ensure_columns()
+            c = pas._ensure_columns(g.B)
             schedule.append(
                 (
                     pas.label,

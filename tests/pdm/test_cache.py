@@ -284,7 +284,7 @@ class TestRandomizedPlannerKeys:
             plan_distribution_sort(g, perm, np.arange(g.N), seed=seed).io_plan
             for seed in (1, 2)
         ]
-        first_digit = [p.passes[0]._ensure_columns() for p in plans]
+        first_digit = [p.passes[0]._ensure_columns(g.B) for p in plans]
         assert (
             first_digit[0].write_ids.tobytes() != first_digit[1].write_ids.tobytes()
         )

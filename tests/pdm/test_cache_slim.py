@@ -8,6 +8,7 @@ for byte: portions, ``IOStats``, pass tables and memory peak.
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.core.mld_algorithm import perform_mld_pass
 from repro.errors import PlanError
 from repro.pdm.cache import PlanCache, cached_execute, plan_key
 from repro.pdm.engine import execute_plan
+from repro.pdm import schedule
 from repro.pdm.geometry import DiskGeometry
 from repro.pdm.schedule import PlanBuilder
 from repro.pdm.system import ParallelDiskSystem
@@ -327,15 +329,25 @@ class TestSlimPlanRefuses:
             slim.verify()
 
 
-def test_a_slim_mld_entry_keeps_only_its_pull():
+def test_a_slim_mld_entry_keeps_only_its_pull(monkeypatch):
     """Memory guard: after one fast execution a cached MLD entry at
     N=2^14 retains its pull (8 bytes per record) and little else; its
-    write sources (another 8 bytes per record) and its per-step and
-    per-block columns are gone."""
+    per-step and per-block columns are gone, and so is the memory map
+    that held its write sources (another 8 bytes per record, outside
+    the heap ``tracemalloc`` sees)."""
     g = DiskGeometry(N=2**14, B=2**3, D=2**2, M=2**7)
     perm = mld_perm(g)
     s = fresh(g)
     cache = PlanCache()
+    maps = []
+    mapped_empty = schedule._mapped_empty
+
+    def recording_mapped_empty(size):
+        column = mapped_empty(size)
+        maps.append(weakref.ref(column.base.obj))
+        return column
+
+    monkeypatch.setattr(schedule, "_mapped_empty", recording_mapped_empty)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -344,5 +356,6 @@ def test_a_slim_mld_entry_keeps_only_its_pull():
     finally:
         tracemalloc.stop()
     assert is_slim(the_entry(cache))
+    assert len(maps) == 1 and maps[0]() is None, "the write sources stay mapped"
     pull = 8 * g.N
     assert pull <= retained <= pull + 16 * 1024, retained

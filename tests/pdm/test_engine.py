@@ -14,6 +14,7 @@ from repro.pdm.engine import (
     ENGINES,
     _FusedPass,
     _fuse_pass,
+    audit_plan,
     execute_plan,
     validate_plan,
 )
@@ -133,17 +134,24 @@ class TestStrictReplay:
         assert (s.portion_values(1) == fast.portion_values(1)).all()
         assert s.stats.snapshot() == fast.stats.snapshot()
 
-    def test_short_write_source_rejected_before_any_io(self, geometry):
-        """A hand-built write step naming fewer than B slots per block
-        would shift every later step's slice of the pass's columns."""
+    @pytest.mark.parametrize("run", ["strict", "fast", "audit"])
+    def test_write_source_of_another_size_rejected_before_any_io(self, geometry, run):
+        """Hand-built write steps naming B-1 and then B+1 slots for one
+        block each add up to the pass's total, but would shift the second
+        step's slice of the pass's columns; every engine and the audit
+        reject the first of them."""
         g = geometry
-        plan = IOPlan(g, [PlanPass("short", [
-            IOStep("read", 0, [0]),
+        plan = IOPlan(g, [PlanPass("ragged", [
+            IOStep("read", 0, [0, 1]),
             IOStep("write", 1, [0], np.arange(g.B - 1)),
+            IOStep("write", 1, [1], np.arange(g.B - 1, 2 * g.B)),
         ])])
         s = fresh(g)
-        with pytest.raises(ValidationError):
-            execute_plan(s, plan, engine="strict")
+        with pytest.raises(ValidationError, match=f"write step 1 names {g.B - 1} "):
+            if run == "audit":
+                audit_plan(g, plan)
+            else:
+                execute_plan(s, plan, engine=run)
         assert s.stats.parallel_ios == 0
 
 

@@ -136,23 +136,20 @@ class TestPlanBuilder:
         assert not c.write_ids.any() and not c.read_ids.any()
 
     def test_write_source_column_has_its_own_mapping(self, geometry):
-        """A built pass's write-source column, made in bulk or step by
-        step, lives in a memory map of its own, outside the malloc heap,
-        so dropping the plan unmaps it."""
+        """The write-source column ``memoryload_rounds`` builds lives in
+        a memory map of its own, outside the malloc heap, so dropping
+        the plan unmaps it."""
         g = geometry
         rounds, k = g.num_memoryloads, g.stripes_per_memoryload
-        bulk, looped = PlanBuilder(g), PlanBuilder(g)
-        bulk.begin_pass("bulk")
-        bulk.memoryload_rounds(
+        b = PlanBuilder(g)
+        b.begin_pass("bulk")
+        b.memoryload_rounds(
             0, 1,
             np.zeros((rounds, k, g.D), dtype=np.int64),
             np.zeros((rounds, k, g.D * g.B), dtype=np.int64),
         )
-        looped.begin_pass("looped")
-        looped.write_memoryload(1, 0, looped.read_memoryload(0, 0))
-        for b in (bulk, looped):
-            column = b.build().passes[0].columns_if_fresh().write_source
-            assert isinstance(column.base.obj, mmap.mmap)
+        column = b.build().passes[0].columns_if_fresh().write_source
+        assert isinstance(column.base.obj, mmap.mmap)
 
     def test_memoryload_rounds_shapes_checked(self, geometry):
         g = geometry
