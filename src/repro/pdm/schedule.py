@@ -26,9 +26,9 @@ re-concatenation -- which removes most of the one-time "cold start" cost
 the first fused execution used to pay.  The write-source column that
 :meth:`PlanBuilder.memoryload_rounds` builds, a pass's one ``N``-entry
 array, is mapped outside the malloc heap (:func:`_mapped_empty`).  The
-strict engine replays each step from slices of the same columns.  The :class:`IOStep` list is
-materialized lazily, only when something (a test, a hand-built pass, a
-repr) actually iterates steps.
+strict engine replays each step from slices of the same columns.  The
+:class:`IOStep` list is materialized lazily, only when something (a
+test, a hand-built pass, a repr) actually iterates steps.
 
 This mirrors how external-memory schedules are treated as first-class
 objects independent of the machine that runs them (cf. Guidesort's pass
@@ -63,9 +63,9 @@ _MAP_FLAGS = (
 def _mapped_empty(size: int) -> np.ndarray:
     """An uninitialized int64 array in an anonymous memory map of its own.
 
-    :meth:`PlanBuilder.memoryload_rounds` builds a pass's write-source
-    column, its one ``N``-entry array, in one; the column lives as long
-    as the plan.  Outside the malloc heap it goes back to the OS when
+    :meth:`PlanBuilder.memoryload_rounds` computes a pass's write-source
+    column, its one ``N``-entry array, into one; the column lives as
+    long as the plan.  Outside the malloc heap it goes back to the OS when
     the plan is dropped, and it never sits above the heap memory a cold
     request frees: with glibc, a column allocated there kept the freed
     planning and execution temporaries below it from being returned,
